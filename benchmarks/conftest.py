@@ -12,6 +12,7 @@ counts that the CI benchmark job uploads as an artifact.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -58,6 +59,16 @@ def _markdown_summary() -> str:
     lines.append(f"_{RUNS} run(s) per cell; op-count gate: "
                  "`benchmarks/check_baseline_ops.py`_")
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def collected_heap():
+    """Start every benchmark from a collected heap.  A full collection
+    of this suite's heap takes tens of milliseconds, and a wall-clock
+    figure must not pay for garbage an earlier test left behind: where
+    such a collection lands otherwise depends on every allocation since
+    the process started, so it could fall inside any timed window."""
+    gc.collect()
 
 
 @pytest.fixture(scope="session", autouse=True)

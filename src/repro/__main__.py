@@ -84,6 +84,7 @@ from repro.api import (
     World,
     create_executor,
 )
+from repro.api.scheduling import POLICY_NAMES
 
 #: Exit status for engine/worker failures (script failures exit with the
 #: script's own status, like a shell).
@@ -169,8 +170,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
             "repro batch: --executor serve needs --gateway HOST:PORT "
             "(start one with `python -m repro serve`)\n")
         return 2
+    policy = POLICY_NAMES[args.policy]() if args.policy else None
     executor = create_executor(name, workers=args.workers, store=args.store,
-                               hosts=hosts, policy=args.policy,
+                               hosts=hosts, policy=policy,
                                gateway=args.gateway)
     try:
         with executor:
@@ -433,9 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     batch_p.add_argument("--gateway", default=None, metavar="HOST:PORT",
                          help="gateway address for --executor serve "
                               "(start one with `python -m repro serve`)")
-    from repro.remote.hostpool import SHARDING_POLICIES
-
-    batch_p.add_argument("--policy", choices=list(SHARDING_POLICIES),
+    batch_p.add_argument("--policy", choices=list(POLICY_NAMES),
                          default=None,
                          help="sharding policy for --executor remote "
                               "(default: round-robin)")

@@ -14,15 +14,17 @@ path as every local executor — which is why remote fingerprints are
 byte-identical to sequential ones (gated across all four case-study
 worlds in ``benchmarks/test_batch_backends.py``).
 
-Scheduling is delegated to a :class:`repro.remote.hostpool.HostPool`
-scored by a :class:`repro.api.scheduling.SchedulingPolicy` object
-(legacy policy strings still resolve, with a ``DeprecationWarning``).
-Host death is survived, not hidden: a wire failure marks the host dead
-(a health strike), the in-flight job retries on the survivors with the
-dead host excluded, and before declaring "no live hosts" the executor
-re-dials the dead ones — a restarted agent rejoins right there.  An
-agent that says a clean GOODBYE (SIGTERM drain) is *retired* instead:
-no strike, no panic, jobs simply route elsewhere.  Agent-*reported*
+Scheduling and failover are the :class:`repro.remote.hostpool.HostPool`'s
+one loop (:meth:`~repro.remote.hostpool.HostPool.dispatch`, shared with
+the :mod:`repro.serve` gateway), scored by a
+:class:`repro.api.scheduling.SchedulingPolicy` object.  Host death is
+survived, not hidden: a wire failure marks the host dead (a health
+strike), the in-flight job retries on the survivors with the dead host
+excluded, and before declaring "no live hosts" the pool re-dials the
+dead ones — a restarted agent rejoins right there.  An agent that says
+a clean GOODBYE (SIGTERM drain) is *retired* instead: no strike, no
+panic, jobs simply route elsewhere.  On top of that loop the executor
+adds only BUSY back-off and the typed error wrapping.  Agent-*reported*
 failures (an engine bug inside a job) are never retried: they are
 deterministic, and re-running them elsewhere would produce the same
 error with worse attribution.
@@ -51,8 +53,14 @@ from repro.api.executors.base import (
 from repro.api.executors.store import StoreBootMixin
 from repro.api.scheduling import SchedulingPolicy
 from repro.kernel.store import SnapshotStore
-from repro.remote.hostpool import HostPool, HostSpec, HostState
-from repro.remote.wire import WireError, template_key
+from repro.remote.hostpool import (
+    HostPool,
+    HostsExhausted,
+    HostSpec,
+    HostState,
+    WireTemplate,
+)
+from repro.remote.wire import Message, template_key
 
 
 class RemoteExecutor(StoreBootMixin, Executor):
@@ -64,13 +72,11 @@ class RemoteExecutor(StoreBootMixin, Executor):
     store (the template is snapshotted into it once; agents that miss
     fetch the blob over the wire and keep it in their own stores).
     ``policy`` is a :class:`~repro.api.scheduling.SchedulingPolicy`
-    object (default :class:`~repro.api.scheduling.RoundRobin`; legacy
-    strings resolve with a ``DeprecationWarning``).  ``concurrency`` is
-    how many jobs to run *per agent* at once — v2 agents multiplex
-    channel-tagged jobs on one connection; against a v1 agent the link
-    itself serialises, so the flag degrades gracefully.  ``workers``
-    caps coordinator-side dispatch threads and defaults to ``hosts ×
-    concurrency``.
+    object (default :class:`~repro.api.scheduling.RoundRobin`).
+    ``concurrency`` caps how many jobs run *per agent* at once (agents
+    multiplex channel-tagged jobs on one connection; the pool holds the
+    cap).  ``workers`` caps coordinator-side dispatch threads and
+    defaults to ``hosts × concurrency``.
 
     Example (a two-host "cluster" on one machine)::
 
@@ -102,20 +108,22 @@ class RemoteExecutor(StoreBootMixin, Executor):
 
     def __init__(self, hosts: "Iterable[HostSpec | str | tuple[str, int]]",
                  store: "SnapshotStore | Path | str | None" = None,
-                 policy: "SchedulingPolicy | str | None" = None,
+                 policy: "SchedulingPolicy | None" = None,
                  workers: "int | None" = None,
                  concurrency: int = 1) -> None:
-        self.hosts = HostPool(hosts, policy=policy)
         self.concurrency = max(1, int(concurrency))
+        self.hosts = HostPool(hosts, policy=policy,
+                              concurrency=self.concurrency)
         super().__init__(workers or len(self.hosts) * self.concurrency)
         self._init_store(store)
         #: "host:port" -> BootInfo of that host's last PREPARE, so tests
         #: and benchmarks can gate "a warm agent store boots with zero
         #: world-build kernel ops" per host.
         self.host_boots: dict[str, BootInfo] = {}
-        #: template token -> (wire template key, snapshot digest) —
-        #: computed once per bound template, not per job.
-        self._wire_keys: dict[tuple, tuple[str, str]] = {}
+        #: template token -> how the template is named and PREPAREd on
+        #: the wire; built once per bound template, not per job.
+        self._wire: dict[tuple, WireTemplate] = {}
+        self._wire_lock = threading.Lock()
         self._dispatch: "ThreadPoolExecutor | None" = None
         self._dispatch_lock = threading.Lock()
 
@@ -144,74 +152,31 @@ class RemoteExecutor(StoreBootMixin, Executor):
     # -- one job, end to end -----------------------------------------------
 
     def _run_remote(self, template: JobTemplate, job: ExecutorJob) -> Any:
-        """Shard, prepare, run — retrying on fresh hosts as they die.
-
-        The loop terminates: every failed attempt excludes its host for
-        this job (and a crash marks it dead for everyone), so each
-        iteration strictly shrinks the candidate set; BUSY responses
-        spend a separate bounded retry budget.
-        """
-        tried: list[str] = []
-        excluded: set[HostSpec] = set()
-        busy_budget = self.busy_retries
-        wire_key, _digest = self._wire_identity(template)
+        """Run ``job`` through the pool's failover loop, waiting out
+        BUSY replies on a bounded budget of their own."""
+        wire = self._wire_template(template)
+        fields, blob = self._encode(job, wire.key)
+        busy = 0
         while True:
             try:
-                host = self._pick(job, wire_key, excluded)
-            except LookupError:
+                reply = self.hosts.dispatch(wire, fields, blob, job=job,
+                                            on_ready=self._record_boot)
+            except HostsExhausted as err:
                 raise BatchExecutionError(
                     job.name, job.user or template.default_user,
                     "".join(_traceback.format_stack(limit=8)),
-                    message="no live hosts left"
-                            + (f" (hosts tried: {', '.join(tried)})" if tried
-                               else f" ({self.hosts.describe()})"))
-            try:
-                link = self.hosts.link_for(host)
-                self._ensure_prepared(host, link, template)
-                with self.hosts.lease(host):
-                    reply = link.request(
-                        "SUBMIT", *self._encode(job, wire_key))
-            except (WireError, OSError) as err:
-                if host.retired:
-                    # A clean GOODBYE raced this job: no strike (the
-                    # pool already marked the retirement) — just route
-                    # the job elsewhere.
-                    excluded.add(host.spec)
-                    tried.append(f"{host.spec} (retired)")
-                    continue
-                # The *host* failed (died mid-job, unreachable, spoke
-                # garbage) — take it out of rotation for everyone, and
-                # exclude it for *this* job so the retry can never land
-                # back on the host that just ate it.
-                self.hosts.mark_dead(host, err)
-                excluded.add(host.spec)
-                tried.append(f"{host.spec} ({type(err).__name__}: {err})")
-                continue
-            if reply.type == "BUSY":
-                # Admission backpressure, not failure: the host stays in
-                # rotation; this job waits the server-suggested interval.
-                busy_budget -= 1
-                if busy_budget <= 0:
-                    raise BatchExecutionError(
-                        job.name, job.user or template.default_user, "",
-                        message=f"server busy: {self.busy_retries} "
-                                f"admission retries exhausted")
-                time.sleep(float(reply.fields.get("retry_after", 0.05)))
-                continue
-            return self._decode(reply)
-
-    def _pick(self, job: ExecutorJob, wire_key: str,
-              excluded: "set[HostSpec]") -> HostState:
-        """Policy pick — with one twist: before giving up on an empty
-        ring, re-dial the dead hosts.  A restarted agent rejoins here."""
-        try:
-            return self.hosts.pick(excluded=excluded, job=job,
-                                   wire_key=wire_key)
-        except LookupError:
-            if not self.hosts.try_revive(excluded=excluded):
-                raise
-            return self.hosts.pick(excluded=excluded, job=job,
-                                   wire_key=wire_key)
+                    message=str(err)) from None
+            if reply.type != "BUSY":
+                return self._decode(reply)
+            # Admission backpressure, not failure: the host stays in
+            # rotation; this job waits the server-suggested interval.
+            busy += 1
+            if busy >= self.busy_retries:
+                raise BatchExecutionError(
+                    job.name, job.user or template.default_user, "",
+                    message=f"server busy: {self.busy_retries} "
+                            f"admission retries exhausted")
+            time.sleep(float(reply.fields.get("retry_after", 0.05)))
 
     @staticmethod
     def _encode(job: ExecutorJob, wire_key: str) -> tuple[dict, bytes]:
@@ -224,8 +189,7 @@ class RemoteExecutor(StoreBootMixin, Executor):
         return fields, pickle.dumps(job.fn) if job.fn is not None else b""
 
     @staticmethod
-    def _decode(reply) -> Any:
-        reply.expect("RESULT")
+    def _decode(reply: Message) -> Any:
         if reply.fields.get("status") == "error":
             # A deterministic failure *inside* the job on a healthy
             # host: re-raise with the agent's attribution, never retry.
@@ -237,59 +201,40 @@ class RemoteExecutor(StoreBootMixin, Executor):
 
     # -- host preparation --------------------------------------------------
 
-    def _wire_identity(self, template: JobTemplate) -> tuple[str, str]:
-        """The (wire template key, snapshot digest) naming ``template``
-        on the wire — computed once per bound template; the first call
-        snapshots the template into the coordinator's store."""
-        cached = self._wire_keys.get(template.token)
-        if cached is not None:
-            return cached
-        digest = self._snapshot_into_store(template)
-        wire_key = template_key(digest, template.scripts,
-                                template.default_user,
-                                template.install_shill)
-        self._wire_keys[template.token] = (wire_key, digest)
-        return wire_key, digest
-
-    def _ensure_prepared(self, host: HostState, link,
-                         template: JobTemplate) -> str:
-        """PREPARE ``host`` for ``template`` once (per template
-        signature): ship the snapshot digest; ship the bytes only if the
-        agent's own store misses.  Returns the wire template key SUBMITs
-        must name.  ``host.lock`` serialises concurrent preparers; the
-        link's ``converse`` keeps the NEED/BLOB exchange exclusive
-        against concurrent SUBMIT sends.
-        """
-        wire_key, digest = self._wire_identity(template)
-        if wire_key in host.prepared:
-            return wire_key
-        with host.lock:
-            if wire_key in host.prepared:
-                return wire_key
-            with link.converse() as conv:
-                reply = conv.request("PREPARE", {
-                    "snapshot": digest,
+    def _wire_template(self, template: JobTemplate) -> WireTemplate:
+        """How ``template`` is named and PREPAREd on the wire — built
+        once per bound template; the first call snapshots the template
+        into the coordinator's store.  A miss takes the lock: the first
+        jobs of a fresh executor arrive on several dispatch threads at
+        once, and each snapshotting and linking the world would race on
+        the store's files."""
+        wire = self._wire.get(template.token)
+        if wire is not None:
+            return wire
+        with self._wire_lock:
+            wire = self._wire.get(template.token)
+            if wire is None:
+                fields = {
+                    "snapshot": self._snapshot_into_store(template),
                     "scripts": [[name, source]
                                 for name, source in template.scripts],
                     "default_user": template.default_user,
                     "install_shill": template.install_shill,
                     "stats": dict(template.kernel.stats.snapshot()),
-                }, pickle.dumps(portable_fixtures(template.fixtures)))
-                while reply.type == "NEED":
-                    # The agent's store misses: ship each blob it names,
-                    # in the store's self-verifying export framing.  A
-                    # delta snapshot makes this a short loop — the delta
-                    # itself, then any base in its chain the agent's
-                    # store lacks.
-                    needed = reply.fields["snapshot"]
-                    reply = conv.request("BLOB", {"snapshot": needed},
-                                         self.store.export_blob(needed))
-            reply.expect("READY")
-            host.prepared.add(wire_key)
-            self.host_boots[str(host.spec)] = BootInfo(
-                source=reply.fields.get("source", "unknown"), snapshot=digest,
-                build_ops=dict(reply.fields.get("build_ops", {})))
-            return wire_key
+                }
+                wire = WireTemplate(
+                    template_key(fields), fields,
+                    pickle.dumps(portable_fixtures(template.fixtures)),
+                    self.store)
+                self._wire[template.token] = wire
+        return wire
+
+    def _record_boot(self, host: HostState, wire: WireTemplate,
+                     ready: Message) -> None:
+        self.host_boots[str(host.spec)] = BootInfo(
+            source=ready.fields.get("source", "unknown"),
+            snapshot=wire.fields["snapshot"],
+            build_ops=dict(ready.fields.get("build_ops", {})))
 
     def __repr__(self) -> str:
         return (f"<RemoteExecutor {self.hosts!r} store={self.store.root} "

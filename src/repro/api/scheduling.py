@@ -24,15 +24,12 @@ Telemetry keys every pool guarantees:
 The built-ins cover the common shapes — :class:`RoundRobin` (fairness),
 :class:`LeastLoaded` (variable job cost), :class:`StoreWarmth` (boot
 cost dominates) — and a custom policy is just an object with ``score``;
-see ``docs/serving.md`` for a worked example.
-
-The legacy ``sharding="round-robin"`` strings still resolve, through
-:func:`resolve_policy`, at the price of one :class:`DeprecationWarning`.
+see ``docs/serving.md`` for a worked example.  The CLIs name the
+built-ins through :data:`POLICY_NAMES`; the API takes objects only.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping, Protocol, runtime_checkable
 
 
@@ -59,9 +56,13 @@ class SchedulingPolicy(Protocol):
               telemetry: "Mapping[str, Any]") -> float:
         """Weigh ``host`` for ``job``; the highest score wins.
 
-        ``host`` is the pool's per-host state object, ``job`` the job
-        being placed (``None`` when the caller has no job context), and
-        ``telemetry`` the live counters table in the module docstring.
+        ``host`` is the pool's per-host state object, ``job`` the
+        :class:`~repro.api.executors.base.ExecutorJob` being placed —
+        the same type whether a ``RemoteExecutor`` or the gateway
+        dispatches it (the gateway never unpickles a client's callable,
+        so there ``job.fn`` is ``None``) — or ``None`` when the caller
+        has no job context, and ``telemetry`` the live counters table in
+        the module docstring.
         """
         ...  # pragma: no cover - protocol signature
 
@@ -145,38 +146,24 @@ class StoreWarmth:
         return "StoreWarmth()"
 
 
-#: Legacy policy-string spellings (the pre-policy-object API), kept
-#: resolvable through :func:`resolve_policy` — at a deprecation cost.
-LEGACY_POLICY_STRINGS: "dict[str, type]" = {
+#: The built-ins by the names the ``--policy`` flags of ``repro batch``
+#: and ``repro serve`` take.
+POLICY_NAMES: "dict[str, type]" = {
     "round-robin": RoundRobin,
     "least-loaded": LeastLoaded,
     "store-warmth": StoreWarmth,
 }
 
 
-def resolve_policy(policy: "SchedulingPolicy | str | None",
-                   ) -> SchedulingPolicy:
+def resolve_policy(policy: "SchedulingPolicy | None") -> SchedulingPolicy:
     """Normalise a policy argument to a policy *object*.
 
-    ``None`` means the default (:class:`RoundRobin`).  Policy objects
-    pass through.  Legacy strings (``"round-robin"``,
-    ``"least-loaded"``, ``"store-warmth"``) resolve to their object
-    equivalents and emit exactly one :class:`DeprecationWarning`.
+    ``None`` means the default (:class:`RoundRobin`); policy objects
+    pass through; anything without a callable ``score`` — a name
+    string included — is a :class:`TypeError`.
     """
     if policy is None:
         return RoundRobin()
-    if isinstance(policy, str):
-        try:
-            cls = LEGACY_POLICY_STRINGS[policy]
-        except KeyError:
-            raise ValueError(
-                f"unknown sharding policy {policy!r}; "
-                f"choices: {', '.join(LEGACY_POLICY_STRINGS)}") from None
-        warnings.warn(
-            f"sharding policy strings are deprecated; pass a policy object "
-            f"(repro.api.{cls.__name__}()) instead of {policy!r}",
-            DeprecationWarning, stacklevel=2)
-        return cls()
     if not callable(getattr(policy, "score", None)):
         raise TypeError(f"{policy!r} is not a SchedulingPolicy "
                         f"(needs a callable .score(host, job, telemetry))")

@@ -19,12 +19,12 @@ Three modules:
   other executor uses — which is why remote fingerprints are
   byte-identical to sequential ones;
 * :mod:`repro.remote.hostpool` — the coordinator's host registry:
-  sharding policies (round-robin, least-loaded), per-host health, and
-  the retry-with-exclusion bookkeeping the executor leans on when a
-  host dies mid-batch.
+  scheduling policies, per-host health and concurrency slots, and the
+  one failover loop (``HostPool.dispatch``) the executor and the
+  gateway both run when a host dies mid-batch.
 """
 
-from repro.remote.hostpool import HostPool, HostSpec, SHARDING_POLICIES
+from repro.remote.hostpool import HostPool, HostSpec
 from repro.remote.wire import (
     WIRE_VERSION,
     Connection,
@@ -36,7 +36,6 @@ from repro.remote.wire import (
 
 __all__ = [
     "WIRE_VERSION",
-    "SHARDING_POLICIES",
     "Connection",
     "Message",
     "WireError",

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 from repro.kernel.store import SnapshotStore
 from repro.remote.wire import (
     WIRE_VERSION,
+    BlobPull,
     Connection,
     Message,
     WireClosed,
@@ -106,10 +107,9 @@ class AgentServer:
 
     def serve_forever(self) -> None:
         """Accept coordinators until :meth:`shutdown`; one reader thread
-        per connection.  On a v2 connection SUBMITs fan out to job
-        threads (replies carry the request's channel id), so one agent
-        runs N jobs concurrently on one connection; v1 peers get the
-        classic lock-step loop."""
+        per connection.  SUBMITs fan out to job threads (replies carry
+        the request's channel id), so one agent runs N jobs concurrently
+        on one connection."""
         while not self._shutdown.is_set():
             try:
                 sock, _peer = self._listener.accept()
@@ -185,7 +185,6 @@ class AgentServer:
             except WireVersionError as err:
                 conn.send("ERROR", {"error": str(err)})
                 return
-            conn.version = effective
             conn.send("HELLO", {"version": effective, "pid": os.getpid(),
                                 "store": str(self.store.root)})
             while True:
@@ -199,14 +198,10 @@ class AgentServer:
                     with self._track_inflight():
                         self._handle_prepare(conn, msg)
                 elif msg.type == "SUBMIT":
-                    if effective >= 2 and "channel" in msg.fields:
-                        self._spawn_submit(conn, msg)
-                    else:
-                        with self._track_inflight():
-                            self._handle_submit(conn, msg)
+                    self._spawn_submit(conn, msg)
                 else:
-                    self._reply(conn, msg,
-                                "ERROR", {"error": f"unexpected {msg.type!r}"})
+                    conn.send("ERROR", msg.echo(
+                        {"error": f"unexpected {msg.type!r}"}))
                     return
         except WireClosed:
             return  # coordinator went away; nothing to clean up
@@ -232,8 +227,8 @@ class AgentServer:
                 self._inflight_cv.notify_all()
 
     def _spawn_submit(self, conn: Connection, msg: Message) -> None:
-        """Run one channel-tagged SUBMIT on its own thread (forks are
-        what isolate jobs, so concurrent jobs on one template are safe).
+        """Run one SUBMIT on its own thread (forks are what isolate
+        jobs, so concurrent jobs on one template are safe).
         The in-flight count is taken *before* the thread starts so a
         concurrent :meth:`retire` cannot observe a gap."""
         with self._inflight_cv:
@@ -251,16 +246,6 @@ class AgentServer:
 
         threading.Thread(target=run, daemon=True, name="agent-job").start()
 
-    @staticmethod
-    def _reply(conn: Connection, msg: Message, type_: str,
-               fields: "dict | None" = None, blob: bytes = b"") -> None:
-        """Send a reply to ``msg``, echoing its channel id (if any) so a
-        multiplexing peer can route it back to the right waiter."""
-        fields = dict(fields or {})
-        if "channel" in msg.fields:
-            fields["channel"] = msg.fields["channel"]
-        conn.send(type_, fields, blob)
-
     # -- PREPARE -----------------------------------------------------------
 
     def _handle_prepare(self, conn: Connection, msg: Message) -> "JobTemplate":
@@ -268,31 +253,21 @@ class AgentServer:
         → READY when the snapshot must cross the wire)."""
         from repro.api.executors.base import JobTemplate
         from repro.kernel.kernel import KernelStats
-        from repro.kernel.serialize import delta_base_digest, is_delta
 
         fields = msg.fields
         snapshot = fields["snapshot"]
-        key = self._template_key(fields)
+        key = template_key(fields)
         with self._state_lock:
             cached = self._templates.get(key)
         if cached is not None:
-            self._reply(conn, msg, "READY", {"source": "memory", "build_ops": {}})
+            conn.send("READY", msg.echo({"source": "memory", "build_ops": {}}))
             return cached
 
-        source = "store"
-        payload = self.store.get(snapshot)
-        if payload is None:
-            payload = self._fetch_blob(conn, msg, snapshot)
-            source = "wire"
-        # A delta blob restores against its base chain; every link must
-        # be in our store before restore, fetched the same way.
-        probe = payload
-        while is_delta(probe):
-            base_digest = delta_base_digest(probe)
-            probe = self.store.get(base_digest)
-            if probe is None:
-                probe = self._fetch_blob(conn, msg, base_digest)
-                source = "wire"
+        pull = BlobPull(self.store, snapshot)
+        while (digest := pull.next_need()) is not None:
+            conn.send("NEED", msg.echo({"snapshot": digest}))
+            pull.accept(conn.recv())
+        source = "wire" if pull.pulled else "store"
 
         with self._state_lock:
             kernel = self._kernels.get(snapshot)
@@ -316,30 +291,8 @@ class AgentServer:
         # boot — the number the warm-store benchmark gates at zero.
         build_ops = KernelStats.delta(fields.get("stats", {}),
                                       kernel.stats.snapshot())
-        self._reply(conn, msg, "READY", {"source": source, "build_ops": build_ops})
+        conn.send("READY", msg.echo({"source": source, "build_ops": build_ops}))
         return template
-
-    def _fetch_blob(self, conn: Connection, msg: Message, digest: str) -> bytes:
-        """NEED → BLOB: pull one named blob from the coordinator.  The
-        export frame's digest is verified before the bytes are trusted,
-        and the reply must carry exactly the blob we asked for."""
-        self._reply(conn, msg, "NEED", {"snapshot": digest})
-        reply = conn.recv().expect("BLOB")
-        imported = self.store.import_blob(reply.blob)
-        if imported != digest:
-            raise WireError(f"BLOB carried {imported[:12]}…, "
-                            f"NEED named {digest[:12]}…")
-        return self.store.load(digest)
-
-    @staticmethod
-    def _template_key(fields: dict) -> str:
-        """One restored template per distinct (snapshot, scripts, user,
-        install) — the same identity a local executor pool is keyed on,
-        and the key a SUBMIT names (:func:`repro.remote.wire
-        .template_key`, so both ends agree byte-for-byte)."""
-        return template_key(fields["snapshot"], fields.get("scripts", []),
-                            fields["default_user"],
-                            fields.get("install_shill", True))
 
     # -- SUBMIT ------------------------------------------------------------
 
@@ -360,9 +313,9 @@ class AgentServer:
         # machine when an executor is reused across worlds.
         template = self._templates.get(fields.get("template", ""))
         if template is None:
-            self._reply(conn, msg,
-                        "ERROR", {"error": "SUBMIT names an unprepared template"})
-            raise WireError("SUBMIT names an unprepared template")
+            conn.send("ERROR", msg.echo(
+                {"error": "SUBMIT names an unprepared template"}))
+            return
         index, name, user = fields["index"], fields["name"], fields.get("user")
         try:
             # Unpickling the mapped fn is part of the job: a callable
@@ -373,18 +326,18 @@ class AgentServer:
                 fn=pickle.loads(msg.blob) if fields.get("has_fn") else None,
             )
             result = run_job(template, job)
-            self._reply(conn, msg, "RESULT", {"index": index, "status": "ok"},
-                        pickle.dumps(result))
+            conn.send("RESULT", msg.echo({"index": index, "status": "ok"}),
+                      pickle.dumps(result))
         except BatchExecutionError as err:
-            self._reply(conn, msg, "RESULT", {
+            conn.send("RESULT", msg.echo({
                 "index": index, "status": "error", "name": err.job_name,
                 "user": err.user, "traceback": err.traceback_text,
-            })
+            }))
         except Exception:
-            self._reply(conn, msg, "RESULT", {
+            conn.send("RESULT", msg.echo({
                 "index": index, "status": "error", "name": name,
                 "user": user, "traceback": _traceback.format_exc(),
-            })
+            }))
 
 
 def serve(argv: "list[str] | None" = None) -> int:

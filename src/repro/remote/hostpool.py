@@ -1,24 +1,22 @@
-"""The coordinator's host registry: who is alive, who gets the next job.
+"""The coordinator's host registry and its one failover loop.
 
 A :class:`HostPool` holds one :class:`HostState` per agent address and
 answers one question — *which live host should this job go to?* — by
 scoring every candidate with a :class:`repro.api.scheduling
 .SchedulingPolicy` object (``score(host, job, telemetry) → weight``;
 highest wins, registration order breaks ties).  The built-ins are
-``RoundRobin``, ``LeastLoaded`` and ``StoreWarmth``; the legacy policy
-*strings* still resolve, with a ``DeprecationWarning``, via
-:func:`repro.api.scheduling.resolve_policy`.
+``RoundRobin``, ``LeastLoaded`` and ``StoreWarmth``.
 
-Health is observational, not probed: a host is healthy until a wire
-operation against it fails, at which point the executor calls
-:meth:`HostPool.mark_dead` (a health *strike*) and the pool stops
-offering it.  Jobs that were committed to a dead host retry on the
-survivors with the dead host *excluded* (the per-job ``excluded`` set
-passed to :meth:`pick`), so a flapping host cannot trap a job in a
-retry loop against itself; when every host is dead or excluded,
-:meth:`pick` raises ``LookupError`` and the executor surfaces a typed
-:class:`~repro.api.executors.base.BatchExecutionError` naming the job
-and the hosts it tried.
+:meth:`HostPool.dispatch` is the failover loop every coordinator runs —
+:class:`~repro.api.executors.remote.RemoteExecutor` for its own fleet,
+the :mod:`repro.serve` gateway for the announced one.  Health is
+observational, not probed: a host is healthy until a wire operation
+against it fails, at which point the loop calls :meth:`mark_dead` (a
+health *strike*) and the pool stops offering it.  The job retries on
+the survivors with the dead host *excluded* (the per-job ``excluded``
+set passed to :meth:`pick`), so a flapping host cannot trap a job in a
+retry loop against itself; when every host is dead or excluded, the
+loop raises :class:`HostsExhausted` listing the hosts it tried.
 
 Dead is no longer forever.  Three ways back into rotation:
 
@@ -26,7 +24,8 @@ Dead is no longer forever.  Three ways back into rotation:
   *retired* — out of rotation, but with no strike and no panic;
 * :meth:`HostPool.try_revive` re-dials dead hosts and resurrects any
   whose agent answers the handshake again (restarted agents keep their
-  snapshot stores, so resurrection is warm);
+  snapshot stores, so resurrection is warm) — the loop's last resort
+  before giving up;
 * a gateway admits hosts dynamically: :meth:`HostPool.add_host` admits
   a brand-new address mid-flight, and re-announcing a known address
   revives it (see :mod:`repro.serve`).
@@ -37,25 +36,17 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.remote.wire import WireError, open_link
+from repro.remote.wire import ChannelMux, Message, WireError, open_link
 
 if TYPE_CHECKING:
     from repro.api.scheduling import SchedulingPolicy
-    from repro.remote.wire import ChannelMux, LockstepLink
+    from repro.kernel.store import SnapshotStore
 
 
-def __getattr__(name: str):
-    # Derived lazily so importing this module never triggers the
-    # repro.api package import (hostpool sits *below* repro.api in the
-    # layer map; repro.api.scheduling is a leaf module, but importing
-    # it executes the package __init__, which imports the executors,
-    # which import us).
-    if name == "SHARDING_POLICIES":
-        from repro.api.scheduling import LEGACY_POLICY_STRINGS
-        return tuple(LEGACY_POLICY_STRINGS)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _quiet(*_args: Any, **_fields: Any) -> None:
+    """The default event hook: coordinators without a log say nothing."""
 
 
 @dataclass(frozen=True)
@@ -87,23 +78,49 @@ class HostSpec:
         return f"{self.host}:{self.port}"
 
 
+@dataclass(frozen=True)
+class WireTemplate:
+    """What a host needs to run jobs against one template: the wire
+    ``key`` SUBMITs name, the PREPARE ``fields`` and pickled
+    ``fixtures`` blob, and the ``store`` that answers the host's NEEDs.
+    """
+
+    key: str
+    fields: dict
+    fixtures: bytes
+    store: "SnapshotStore"
+
+
+class HostsExhausted(LookupError):
+    """No host is left for a job: every one is dead, retired, or was
+    tried and excluded.  ``tried`` lists each host the job tried, with
+    why it left; ``detail`` says that (or describes the pool when the
+    job tried none)."""
+
+    def __init__(self, tried: "list[str]", pool: str) -> None:
+        self.tried = tried
+        self.detail = (f"hosts tried: {', '.join(tried)}" if tried
+                       else pool or "no hosts registered")
+        super().__init__(f"no live hosts left ({self.detail})")
+
+
 class HostState:
-    """Per-host book-keeping the pool and executor share.
+    """Per-host book-keeping of one :class:`HostPool`.
 
     ``link`` is the host's wire conversation — a
-    :class:`~repro.remote.wire.ChannelMux` against a v2 agent (N
-    concurrent jobs on one connection) or a
-    :class:`~repro.remote.wire.LockstepLink` against a v1 one;
-    ``prepared`` records which template signatures this host has already
+    :class:`~repro.remote.wire.ChannelMux` (N concurrent jobs on one
+    connection); ``slots`` caps how many of them are in flight at once;
+    ``prepared`` records which template keys this host has already
     restored (so rebinding the same template costs nothing);
     ``inflight`` feeds load-aware policies; ``strikes`` counts crashes
     (clean retirements don't strike).
     """
 
-    def __init__(self, spec: HostSpec) -> None:
+    def __init__(self, spec: HostSpec, concurrency: int) -> None:
         self.spec = spec
         self.lock = threading.Lock()
-        self.link: "LockstepLink | ChannelMux | None" = None
+        self.slots = threading.Semaphore(concurrency)
+        self.link: "ChannelMux | None" = None
         self.alive = True
         self.retired = False
         self.strikes = 0
@@ -112,10 +129,10 @@ class HostState:
         self.prepared: set = set()
         self.last_error: "str | None" = None
 
-    def open_link(self, on_goodbye=None) -> "LockstepLink | ChannelMux":
+    def open_link(self, on_goodbye=None) -> ChannelMux:
         """The host's (lazily opened, handshaken) link.  A connect
         failure propagates as :class:`~repro.remote.wire.WireError` for
-        the executor's retry machinery."""
+        the failover loop."""
         with self.lock:
             if self.link is None:
                 self.link, _hello = open_link(self.spec.host, self.spec.port,
@@ -136,18 +153,20 @@ class HostPool:
     """The registry + scheduling policy over a set of agent hosts.
 
     ``policy`` is a :class:`~repro.api.scheduling.SchedulingPolicy`
-    object (default :class:`~repro.api.scheduling.RoundRobin`); legacy
-    strings resolve with a ``DeprecationWarning``.  ``allow_empty``
-    lets a pool start with zero hosts — the gateway's mode, where
-    agents announce themselves in later.
+    object (default :class:`~repro.api.scheduling.RoundRobin`).
+    ``allow_empty`` lets a pool start with zero hosts — the gateway's
+    mode, where agents announce themselves in later.  ``concurrency``
+    caps the jobs :meth:`dispatch` keeps in flight on any one host.
     """
 
     def __init__(self, hosts: "Iterable[HostSpec | str | tuple[str, int]]" = (),
-                 policy: "SchedulingPolicy | str | None" = None,
-                 allow_empty: bool = False) -> None:
+                 policy: "SchedulingPolicy | None" = None,
+                 allow_empty: bool = False, concurrency: int = 1) -> None:
         from repro.api.scheduling import resolve_policy
         self.policy = resolve_policy(policy)
-        self._hosts = [HostState(HostSpec.parse(spec)) for spec in hosts]
+        self.concurrency = max(1, int(concurrency))
+        self._hosts = [HostState(HostSpec.parse(spec), self.concurrency)
+                       for spec in hosts]
         if not self._hosts and not allow_empty:
             raise ValueError("a host pool needs at least one host")
         seen: set[str] = set()
@@ -177,15 +196,15 @@ class HostPool:
              wire_key: "str | None" = None) -> HostState:
         """The next host for one job: the policy's highest-scoring live
         host not in ``excluded`` (registration order breaks ties);
-        raises ``LookupError`` when none qualify.  ``wire_key`` names
-        the job's template so warmth-aware policies can see which hosts
-        already hold it."""
+        raises :class:`HostsExhausted` when none qualify.  ``wire_key``
+        names the job's template so warmth-aware policies can see which
+        hosts already hold it."""
         shunned = self._parse_excluded(excluded)
         with self._lock:
             candidates = [(i, h) for i, h in enumerate(self._hosts)
                           if h.alive and h.spec not in shunned]
             if not candidates:
-                raise LookupError("no live hosts available")
+                raise HostsExhausted([], self.describe())
             ring = len(self._hosts)
 
             def telemetry(position: int, host: HostState) -> dict:
@@ -234,11 +253,107 @@ class HostPool:
 
     # -- links -------------------------------------------------------------
 
-    def link_for(self, host: HostState) -> "LockstepLink | ChannelMux":
+    def link_for(self, host: HostState) -> ChannelMux:
         """Open (or reuse) the host's link; a clean GOODBYE from the
         peer marks the host retired rather than dead."""
         return host.open_link(
             on_goodbye=lambda: self.mark_retired(host))
+
+    # -- the failover loop -------------------------------------------------
+
+    def dispatch(self, template: WireTemplate, fields: dict, blob: bytes = b"",
+                 *, job: Any = None, log: "Callable[..., None]" = _quiet,
+                 on_ready: "Callable[..., None]" = _quiet) -> Message:
+        """Run one SUBMIT (``fields`` + ``blob``) on some live host.
+
+        Pick a host for ``job`` (re-dialling dead hosts once before
+        giving up), take one of its concurrency slots, open its link,
+        PREPARE it for ``template`` once, lease it and send the SUBMIT.
+        A crash strikes the host and a clean GOODBYE retires it; either
+        way the host is excluded for this job and the loop tries the
+        next, so every turn shrinks the candidate set.  Returns the
+        reply — RESULT, or BUSY for the caller to back off on — and
+        raises :class:`HostsExhausted` once no host is left.
+
+        ``log(event, **fields)`` narrates the decisions (``dispatch``,
+        ``result``, ``prepared``, ``dead``, ``retired``, ``revived``);
+        ``on_ready(host, template, ready)`` sees each READY.
+        """
+        name, user = fields.get("name"), fields.get("user")
+        tried: list[str] = []
+        excluded: set[HostSpec] = set()
+        while True:
+            host = self._pick_or_revive(job, template.key, excluded, tried, log)
+            with host.slots:
+                try:
+                    link = self.link_for(host)
+                    self._prepare(host, link, template, log, on_ready)
+                    with self.lease(host):
+                        log("dispatch", name=name, user=user, verdict="miss",
+                            host=str(host.spec))
+                        reply = link.request("SUBMIT", fields, blob).expect(
+                            "RESULT", "BUSY")
+                except (WireError, OSError) as err:
+                    excluded.add(host.spec)
+                    if host.retired:
+                        # A clean GOODBYE raced this job: no strike (the
+                        # pool already marked the retirement).
+                        log("retired", host=str(host.spec), name=name)
+                        tried.append(f"{host.spec} (retired)")
+                    else:
+                        self.mark_dead(host, err)
+                        log("dead", host=str(host.spec), name=name,
+                            error=str(err))
+                        tried.append(f"{host.spec} ({type(err).__name__}: {err})")
+                    continue
+            if reply.type == "RESULT":
+                log("result", name=name, host=str(host.spec),
+                    status=reply.fields.get("status", "ok"))
+            return reply
+
+    def _pick_or_revive(self, job: Any, key: str, excluded: "set[HostSpec]",
+                        tried: "list[str]", log: "Callable[..., None]",
+                        ) -> HostState:
+        """Policy pick; before giving up on an empty ring, re-dial the
+        dead hosts — a restarted agent rejoins right here."""
+        try:
+            return self.pick(excluded=excluded, job=job, wire_key=key)
+        except HostsExhausted:
+            revived = self.try_revive(excluded=excluded)
+        if revived:
+            log("revived", hosts=[str(h.spec) for h in revived])
+            try:
+                return self.pick(excluded=excluded, job=job, wire_key=key)
+            except HostsExhausted:
+                pass  # the revived hosts died again in between
+        raise HostsExhausted(tried, self.describe())
+
+    @staticmethod
+    def _prepare(host: HostState, link: ChannelMux, template: WireTemplate,
+                 log: "Callable[..., None]", on_ready: "Callable[..., None]",
+                 ) -> None:
+        """PREPARE ``host`` for ``template`` once: ship the snapshot
+        digest, and the bytes of each blob the host's store misses (a
+        delta snapshot makes the NEED/BLOB exchange a short loop over
+        its chain).  ``host.lock`` serialises concurrent preparers; the
+        link's ``converse`` keeps the exchange exclusive against
+        concurrent SUBMIT sends."""
+        if template.key in host.prepared:
+            return
+        with host.lock:
+            if template.key in host.prepared:
+                return
+            with link.converse() as conv:
+                reply = conv.request("PREPARE", template.fields, template.fixtures)
+                while reply.type == "NEED":
+                    needed = reply.fields["snapshot"]
+                    reply = conv.request("BLOB", {"snapshot": needed},
+                                         template.store.export_blob(needed))
+            reply.expect("READY")
+            host.prepared.add(template.key)
+            log("prepared", host=str(host.spec), key=template.key[:16],
+                source=reply.fields.get("source"))
+            on_ready(host, template, reply)
 
     # -- health ------------------------------------------------------------
 
@@ -292,7 +407,7 @@ class HostPool:
         spec = HostSpec.parse(spec)
         if any(h.spec == spec for h in self._hosts):
             return self.revive(spec)
-        host = HostState(spec)
+        host = HostState(spec, self.concurrency)
         with self._lock:
             self._hosts.append(host)
         return host
@@ -301,7 +416,8 @@ class HostPool:
                    ) -> list[HostState]:
         """Re-dial every dead host (skipping ``excluded``) and resurrect
         the ones whose agent answers the handshake again.  Called by
-        executors as a last resort before declaring "no live hosts"."""
+        :meth:`dispatch` as a last resort before declaring "no live
+        hosts"."""
         shunned = self._parse_excluded(excluded)
         revived: list[HostState] = []
         for host in self._hosts:

@@ -12,19 +12,13 @@ socket dump; everything *opaque* (snapshot bytes, pickled
 ``RunResult``\\ s and fixture records) rides in the blob, so JSON never
 sees bytes it cannot represent.  Frames are capped at
 :data:`MAX_FRAME_BYTES` — a corrupt length prefix must fail fast, not
-allocate gigabytes.
+allocate gigabytes.  :func:`encode_frame`, :func:`frame_sizes` and
+:func:`decode_frame` are the one codec: the sync :class:`Connection`
+and the asyncio gateway both frame through them.
 
-Wire version 1 was strictly lock-step (one request, one reply, on one
-connection): the coordinator got parallelism from *many connections*
-(one per host), never from pipelining on one.  Version 2 keeps every
-frame and message of v1 and adds a **channel id**: a client may tag a
-request with ``"channel": N`` and the peer echoes the same channel on
-every frame of the reply, so N jobs can be in flight on one connection
-at once and replies may arrive in any order.  Frames without a channel
-keep v1's lock-step meaning, which is also the negotiated fallback when
-either peer can only speak v1.
-
-::
+Every request carries a **channel id** (``"channel": N``) and the peer
+echoes it on every frame of the reply, so N jobs can be in flight on
+one connection at once and replies may arrive in any order::
 
     coordinator                               agent
     -----------                               -----
@@ -51,15 +45,14 @@ meet either side's floor, raises :class:`WireVersionError` (the agent
 also refuses with an ERROR frame so mismatched coordinators get a
 readable diagnostic instead of a codec explosion).
 
-Two client-side conversation shapes wrap a handshaken connection:
-
-* :class:`LockstepLink` — v1 semantics behind a lock: one request/reply
-  at a time, multi-frame conversations hold the connection exclusively;
-* :class:`ChannelMux` — v2 pipelining: a background reader routes each
-  reply to the waiter that owns its channel, so any number of threads
-  can :meth:`~ChannelMux.request` concurrently; multi-frame
-  conversations (:meth:`~ChannelMux.converse`) briefly gate new sends
-  while in-flight replies continue to drain.
+A PREPARE's NEED/BLOB exchange walks a snapshot's delta chain;
+:class:`BlobPull` is that walk and its digest check, with the I/O left
+to whoever drives it (the sync agent, the asyncio gateway).  On the
+client side, :class:`ChannelMux` wraps a handshaken connection: a
+background reader routes each reply to the waiter that owns its
+channel, so any number of threads can :meth:`~ChannelMux.request`
+concurrently; multi-frame conversations (:meth:`~ChannelMux.converse`)
+briefly gate new sends while in-flight replies continue to drain.
 """
 
 from __future__ import annotations
@@ -73,9 +66,13 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
+from repro.kernel.serialize import delta_base_digest, is_delta
+
+if TYPE_CHECKING:
+    from repro.kernel.store import SnapshotStore
 
 #: Bumped whenever frames or the message vocabulary change incompatibly.
 #: Version 2 added channel-tagged frames (concurrent jobs on one
@@ -83,9 +80,10 @@ from repro.errors import ReproError
 #: speak, and refuse to talk below :data:`MIN_WIRE_VERSION`.
 WIRE_VERSION = 2
 
-#: The oldest version this end still speaks (v1 = channel-less
-#: lock-step).  A peer that cannot reach this floor is refused.
-MIN_WIRE_VERSION = 1
+#: The oldest version this end still speaks.  Every peer lives in this
+#: tree, so the floor is the current version: a v1 (channel-less) peer
+#: is refused with a readable :class:`WireVersionError`.
+MIN_WIRE_VERSION = 2
 
 #: Hard cap on one frame (header + blob).  Snapshot blobs are hundreds
 #: of KiB; 256 MiB is comfortably above any real machine image while
@@ -94,12 +92,48 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _HEAD = struct.Struct("!II")
 
+#: Size of the fixed frame prefix (header length, blob length).
+HEAD_BYTES = _HEAD.size
 
-def template_key(snapshot: str, scripts: "Iterable[Iterable[str]]",
-                 default_user: str, install_shill: bool) -> str:
-    """The protocol-level identity of one prepared template.
 
-    Both ends compute it from the same PREPARE ingredients — snapshot
+def encode_frame(type_: str, fields: "dict[str, Any] | None" = None,
+                 blob: bytes = b"") -> bytes:
+    """One frame's bytes: the ``type`` folded into the JSON header,
+    refused when it would exceed :data:`MAX_FRAME_BYTES`."""
+    header = dict(fields or {})
+    header["type"] = type_
+    payload = json.dumps(header, separators=(",", ":"),
+                         sort_keys=True).encode()
+    if len(payload) + len(blob) > MAX_FRAME_BYTES:
+        raise WireError(f"frame too large: {len(payload) + len(blob)} bytes")
+    return _HEAD.pack(len(payload), len(blob)) + payload + blob
+
+
+def frame_sizes(head: bytes) -> tuple[int, int]:
+    """The (header, blob) lengths a :data:`HEAD_BYTES` prefix announces;
+    a total above :data:`MAX_FRAME_BYTES` fails before anything is read."""
+    header_len, blob_len = _HEAD.unpack(head)
+    if header_len + blob_len > MAX_FRAME_BYTES:
+        raise WireError(f"frame too large: {header_len + blob_len} bytes "
+                        "(corrupt length prefix?)")
+    return header_len, blob_len
+
+
+def decode_frame(payload: bytes, blob: bytes) -> "Message":
+    """The :class:`Message` a frame's header and blob bytes carry."""
+    try:
+        header = json.loads(payload.decode())
+        type_ = header.pop("type")
+    except (ValueError, KeyError) as err:
+        raise WireError(f"bad frame header: {err}") from err
+    return Message(type_, header, blob)
+
+
+def template_key(prepare: "dict[str, Any]") -> str:
+    """The protocol-level identity of the template a PREPARE's fields
+    describe.
+
+    Every end computes it from the same PREPARE ingredients — snapshot
     digest, script registry, default user, install flag — so a SUBMIT
     can name exactly which template it runs against.  An agent may hold
     many templates at once (one coordinator sweeping many worlds, or
@@ -108,8 +142,8 @@ def template_key(snapshot: str, scripts: "Iterable[Iterable[str]]",
     *last*.
     """
     basis = json.dumps(
-        [snapshot, [list(pair) for pair in scripts], default_user,
-         bool(install_shill)],
+        [prepare["snapshot"], [list(pair) for pair in prepare.get("scripts", [])],
+         prepare["default_user"], bool(prepare.get("install_shill", True))],
         sort_keys=True)
     return hashlib.sha256(basis.encode()).hexdigest()
 
@@ -139,6 +173,14 @@ class Message:
     fields: dict[str, Any] = field(default_factory=dict)
     blob: bytes = b""
 
+    def echo(self, fields: "dict[str, Any] | None" = None) -> "dict[str, Any]":
+        """Reply fields for this message: ``fields`` plus its channel id,
+        so a multiplexing peer routes the reply to the right waiter."""
+        fields = dict(fields or {})
+        if "channel" in self.fields:
+            fields["channel"] = self.fields["channel"]
+        return fields
+
     def expect(self, *types: str) -> "Message":
         """Assert this message is one of ``types`` (protocol checking on
         both ends); an agent-side ERROR frame re-raises as the error it
@@ -152,20 +194,15 @@ class Message:
 
 
 class Connection:
-    """A framed, lock-step connection over one TCP socket.
+    """A framed connection over one TCP socket.
 
     Thin by design: :meth:`send` writes one frame, :meth:`recv` reads
-    one, :meth:`request` does a round trip.  Thread safety is the
-    caller's job (the executor holds a per-host lock; the agent talks to
-    one coordinator per connection thread).
+    one, :meth:`request` does a round trip (handshakes and one-shot
+    exchanges; concurrent jobs go through a :class:`ChannelMux`).
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        #: The negotiated wire version, stamped by the handshake helpers
-        #: (:func:`client_handshake` / the agent's HELLO handling);
-        #: pre-handshake connections assume the current version.
-        self.version = WIRE_VERSION
         # Sends are serialised: with channels, worker threads reply on a
         # shared connection, and two interleaved sendall()s would tear
         # frames.  recv stays single-reader by construction (one reader
@@ -182,38 +219,25 @@ class Connection:
 
     def send(self, type_: str, fields: "dict[str, Any] | None" = None,
              blob: bytes = b"") -> None:
-        header = dict(fields or {})
-        header["type"] = type_
-        payload = json.dumps(header, separators=(",", ":"),
-                             sort_keys=True).encode()
-        if len(payload) + len(blob) > MAX_FRAME_BYTES:
-            raise WireError(f"frame too large: {len(payload) + len(blob)} bytes")
+        frame = encode_frame(type_, fields, blob)
         try:
             with self._send_lock:
-                self._sock.sendall(_HEAD.pack(len(payload), len(blob)) + payload + blob)
+                self._sock.sendall(frame)
         except OSError as err:
             raise WireClosed(f"send failed: {err}") from err
 
     def recv(self) -> Message:
-        head = self._read_exact(_HEAD.size, eof_ok=True)
+        head = self._read_exact(HEAD_BYTES, eof_ok=True)
         if head is None:
             raise WireClosed("connection closed")
-        header_len, blob_len = _HEAD.unpack(head)
-        if header_len + blob_len > MAX_FRAME_BYTES:
-            raise WireError(f"frame too large: {header_len + blob_len} bytes "
-                            "(corrupt length prefix?)")
+        header_len, blob_len = frame_sizes(head)
         payload = self._read_exact(header_len)
         blob = self._read_exact(blob_len) if blob_len else b""
-        try:
-            header = json.loads(payload.decode())
-            type_ = header.pop("type")
-        except (ValueError, KeyError) as err:
-            raise WireError(f"bad frame header: {err}") from err
-        return Message(type_, header, blob)
+        return decode_frame(payload, blob)
 
     def request(self, type_: str, fields: "dict[str, Any] | None" = None,
                 blob: bytes = b"") -> Message:
-        """One lock-step round trip."""
+        """One round trip, for a caller that owns the connection."""
         self.send(type_, fields, blob)
         return self.recv()
 
@@ -249,8 +273,8 @@ def negotiate_version(peer_version: Any, peer_min: Any = None) -> int:
     """The server side of version negotiation: the effective version for
     a peer advertising ``peer_version`` (and optionally the floor it
     will accept).  Raises :class:`WireVersionError` when no version
-    satisfies both ends — v1 peers (who advertise no floor) implicitly
-    require exactly their own version or below."""
+    satisfies both ends — a peer that advertises no floor requires
+    exactly its own version or below."""
     try:
         advertised = int(peer_version)
     except (TypeError, ValueError):
@@ -270,10 +294,8 @@ def client_handshake(conn: Connection) -> Message:
     """The coordinator side of HELLO: advertise the version range we
     speak; the peer replies with the effective (negotiated) version.
 
-    The negotiated version is stamped on ``conn.version``.  A v1 peer
-    simply echoes ``1`` (it never saw ``min_version``) and the
-    connection proceeds channel-less and lock-step; a peer replying
-    *above* our version ignored negotiation and is refused.
+    A peer replying outside our range — a v1 peer echoing ``1``, or one
+    *above* our version that ignored negotiation — is refused.
     """
     reply = conn.request("HELLO", {"version": WIRE_VERSION,
                                    "min_version": MIN_WIRE_VERSION}).expect("HELLO")
@@ -282,15 +304,13 @@ def client_handshake(conn: Connection) -> Message:
         raise WireVersionError(
             f"agent speaks wire version {peer}, we speak "
             f"{MIN_WIRE_VERSION}..{WIRE_VERSION} (restart the older side)")
-    conn.version = peer
     return reply
 
 
 def connect(host: str, port: int, timeout: "float | None" = 10.0,
             ) -> tuple[Connection, Message]:
     """Open a handshaken connection to an agent; returns the connection
-    and the agent's HELLO (pid, store root — useful for diagnostics).
-    The negotiated wire version lands on ``connection.version``."""
+    and the agent's HELLO (pid, store root — useful for diagnostics)."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as err:
@@ -308,82 +328,76 @@ def connect(host: str, port: int, timeout: "float | None" = 10.0,
 
 
 # ---------------------------------------------------------------------------
-# client-side conversation shapes: lock-step (v1) and channels (v2)
+# PREPARE's blob pull, without the I/O
+# ---------------------------------------------------------------------------
+
+class BlobPull:
+    """The NEED/BLOB walk of one PREPARE: which blobs of ``snapshot``'s
+    delta chain the ``store`` misses, and the check that each BLOB
+    carries the digest asked for.  It does no wire I/O; the caller
+    drives it::
+
+        pull = BlobPull(store, snapshot)
+        while (digest := pull.next_need()) is not None:
+            ...send NEED {snapshot: digest}, read the reply...
+            pull.accept(reply)
+
+    ``pulled`` says whether any blob crossed the wire (a READY's
+    ``source`` is then ``"wire"``).
+    """
+
+    def __init__(self, store: "SnapshotStore", snapshot: str) -> None:
+        self.store = store
+        self.pulled = False
+        self._digest = snapshot
+        self._payload = store.get(snapshot)
+
+    def next_need(self) -> "str | None":
+        """The next digest to NEED, or ``None`` once the store holds the
+        whole chain (a delta restores against its bases, so every link
+        must be local before restore)."""
+        while self._payload is not None:
+            if not is_delta(self._payload):
+                return None
+            self._digest = delta_base_digest(self._payload)
+            self._payload = self.store.get(self._digest)
+        return self._digest
+
+    def accept(self, reply: Message) -> None:
+        """Store the BLOB answering the last NEED.  The export frame's
+        digest is verified before the bytes are trusted, and it must be
+        exactly the blob the NEED named."""
+        imported = self.store.import_blob(reply.expect("BLOB").blob)
+        if imported != self._digest:
+            raise WireError(f"BLOB carried {imported[:12]}…, "
+                            f"NEED named {self._digest[:12]}…")
+        self.pulled = True
+        self._payload = self.store.load(imported)
+
+
+# ---------------------------------------------------------------------------
+# the client side: channels multiplexed on one connection
 # ---------------------------------------------------------------------------
 
 class _Conversation:
-    """One multi-frame exchange (PREPARE … NEED/BLOB … READY) bound to a
-    link.  ``send``/``recv`` speak on the conversation's channel (v2) or
-    on the raw connection (v1); the owning link guarantees exclusivity
-    for the conversation's duration."""
+    """One multi-frame exchange (PREPARE … NEED/BLOB … READY) on one
+    channel; the owning :class:`ChannelMux` holds its send gate for the
+    conversation's duration."""
 
-    def __init__(self, send: "Callable[[str, dict | None, bytes], None]",
-                 recv: "Callable[[], Message]") -> None:
-        self._send = send
-        self._recv = recv
-
-    def send(self, type_: str, fields: "dict[str, Any] | None" = None,
-             blob: bytes = b"") -> None:
-        self._send(type_, fields, blob)
-
-    def recv(self) -> Message:
-        return self._recv()
+    def __init__(self, mux: "ChannelMux", channel: int,
+                 waiter: "queue.SimpleQueue") -> None:
+        self._mux = mux
+        self._channel = channel
+        self._waiter = waiter
 
     def request(self, type_: str, fields: "dict[str, Any] | None" = None,
                 blob: bytes = b"") -> Message:
-        self.send(type_, fields, blob)
-        return self.recv()
-
-
-class LockstepLink:
-    """v1 semantics behind a lock: one exchange at a time.
-
-    The shape every caller codes against (``request`` / ``converse`` /
-    ``close``), implemented with plain mutual exclusion — the negotiated
-    fallback for peers that never learned channels, and the degenerate
-    case of :class:`ChannelMux` with one channel.
-    """
-
-    concurrency = 1
-
-    def __init__(self, conn: Connection,
-                 on_goodbye: "Callable[[], None] | None" = None) -> None:
-        self._conn = conn
-        self._on_goodbye = on_goodbye
-        self._lock = threading.RLock()
-
-    @property
-    def version(self) -> int:
-        return self._conn.version
-
-    def request(self, type_: str, fields: "dict[str, Any] | None" = None,
-                blob: bytes = b"") -> Message:
-        with self._lock:
-            reply = self._conn.request(type_, fields, blob)
-            if reply.type == "GOODBYE":
-                # The peer is retiring cleanly (drained SIGTERM); there
-                # is no reply to this exchange and never will be.
-                if self._on_goodbye is not None:
-                    self._on_goodbye()
-                raise WireClosed("peer retired (clean GOODBYE)")
-            return reply
-
-    @contextmanager
-    def converse(self):
-        """Exclusive use of the connection for a multi-frame exchange."""
-        with self._lock:
-            yield _Conversation(self._conn.send, self._conn.recv)
-
-    def goodbye(self) -> None:
-        """Tell the peer we are leaving cleanly (no reply expected)."""
-        self._conn.send("GOODBYE")
-
-    def close(self) -> None:
-        self._conn.close()
+        self._mux._send_on(self._channel, type_, fields, blob)
+        return self._mux._take(self._waiter)
 
 
 class ChannelMux:
-    """v2 pipelining: concurrent exchanges multiplexed on one connection.
+    """Concurrent exchanges multiplexed on one connection.
 
     A background reader routes every incoming frame to the waiter that
     owns its ``channel``; any number of threads may :meth:`request`
@@ -412,10 +426,6 @@ class ChannelMux:
                                         name="wire-mux-reader")
         self._reader.start()
 
-    @property
-    def version(self) -> int:
-        return self._conn.version
-
     # -- exchanges ---------------------------------------------------------
 
     def request(self, type_: str, fields: "dict[str, Any] | None" = None,
@@ -436,9 +446,7 @@ class ChannelMux:
         channel, waiter = self._open_channel()
         try:
             with self._send_gate:
-                yield _Conversation(
-                    lambda t, f=None, b=b"": self._send_on(channel, t, f, b),
-                    lambda: self._take(waiter))
+                yield _Conversation(self, channel, waiter)
         finally:
             self._close_channel(channel)
 
@@ -512,11 +520,8 @@ class ChannelMux:
 
 def open_link(host: str, port: int, timeout: "float | None" = 10.0,
               on_goodbye: "Callable[[], None] | None" = None,
-              ) -> "tuple[LockstepLink | ChannelMux, Message]":
-    """Connect, handshake, and wrap the connection in the conversation
-    shape the negotiated version supports: a :class:`ChannelMux` for v2
-    peers, a :class:`LockstepLink` for v1."""
+              ) -> "tuple[ChannelMux, Message]":
+    """Connect, handshake, and wrap the connection in a
+    :class:`ChannelMux`; returns it with the peer's HELLO."""
     conn, hello = connect(host, port, timeout=timeout)
-    if conn.version >= 2:
-        return ChannelMux(conn, on_goodbye=on_goodbye), hello
-    return LockstepLink(conn, on_goodbye=on_goodbye), hello
+    return ChannelMux(conn, on_goodbye=on_goodbye), hello

@@ -4,9 +4,12 @@
 agent wire protocol (:mod:`repro.remote.wire`) on both faces:
 
 * **southbound**, it is a coordinator: it owns a
-  :class:`~repro.remote.hostpool.HostPool` of agents, scores them with
-  a :class:`~repro.api.scheduling.SchedulingPolicy`, PREPAREs each
-  agent from its own snapshot store, and relays SUBMITs over ordinary
+  :class:`~repro.remote.hostpool.HostPool` of agents and relays each
+  SUBMIT through the pool's failover loop
+  (:meth:`~repro.remote.hostpool.HostPool.dispatch`, the same one
+  :class:`~repro.api.executors.remote.RemoteExecutor` runs), which
+  scores agents with a :class:`~repro.api.scheduling.SchedulingPolicy`
+  and PREPAREs each from the gateway's snapshot store over ordinary
   sync links (a thread pool keeps the event loop unblocked);
 * **northbound**, it *is* an agent, as far as any client can tell: it
   answers HELLO with version negotiation, services PREPARE (pulling
@@ -35,8 +38,10 @@ Failure taxonomy, preserved end to end: an agent *crash* strikes the
 host and the job retries on the survivors; a clean agent GOODBYE
 retires the host without a strike; a *deterministic* job failure comes
 back as ``RESULT {status: "error"}`` with the agent's attribution and
-is never retried; fleet exhaustion is reported the same way — the
-gateway never answers a SUBMIT with a connection-killing ERROR frame.
+is never retried; fleet exhaustion, or any other failure to relay (a
+policy that raises), is reported the same way — the gateway never
+answers a SUBMIT with a connection-killing ERROR frame, nor with
+silence.
 
 On startup the gateway prints one machine-readable line::
 
@@ -57,20 +62,23 @@ import signal
 import sys
 import threading
 import time
+import traceback as _traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
-from repro.kernel.serialize import delta_base_digest, is_delta
 from repro.kernel.store import SnapshotStore
-from repro.remote.hostpool import HostPool, HostSpec, HostState
+from repro.remote.hostpool import HostPool, HostsExhausted, HostSpec, WireTemplate
 from repro.remote.wire import (
-    _HEAD,
-    MAX_FRAME_BYTES,
+    HEAD_BYTES,
+    BlobPull,
     Message,
     WireClosed,
     WireError,
     WireVersionError,
+    decode_frame,
+    encode_frame,
+    frame_sizes,
     negotiate_version,
     template_key,
 )
@@ -83,8 +91,8 @@ class Gateway:
     here once per client and fan out to agents from it); ``hosts``
     seeds the fleet with static agent addresses (usually empty — agents
     announce themselves); ``policy`` is a
-    :class:`~repro.api.scheduling.SchedulingPolicy` object or legacy
-    string; ``concurrency`` caps jobs in flight *per agent*; ``rate`` /
+    :class:`~repro.api.scheduling.SchedulingPolicy` object;
+    ``concurrency`` caps jobs in flight *per agent*; ``rate`` /
     ``burst`` / ``max_pending`` configure admission control
     (:class:`~repro.serve.admission.AdmissionController`);
     ``request_log`` appends one JSON line per gateway event to a file;
@@ -109,21 +117,19 @@ class Gateway:
         self.store = store if isinstance(store, SnapshotStore) else SnapshotStore(store)
         self._bind = (host, port)
         self.address: "tuple[str, int] | None" = None
-        self.pool = HostPool(hosts, policy=policy, allow_empty=True)
-        self.concurrency = max(1, int(concurrency))
+        self.pool = HostPool(hosts, policy=policy, allow_empty=True,
+                             concurrency=concurrency)
         self.admission = AdmissionController(rate=rate, burst=burst,
                                              max_pending=max_pending)
-        #: wire template key -> (PREPARE fields, fixtures blob), exactly
-        #: as a client shipped them — relayed verbatim to agents that
-        #: miss, so both hops compute the same template identity.
-        self._templates: "dict[str, tuple[dict, bytes]]" = {}
+        #: wire template key -> the PREPARE fields and fixtures blob
+        #: exactly as a client shipped them — relayed verbatim to agents
+        #: that miss, so both hops compute the same template identity.
+        self._templates: "dict[str, WireTemplate]" = {}
         self._templates_lock = threading.Lock()
-        # Agent dispatch runs on sync links in a thread pool; per-host
-        # semaphores enforce the per-agent concurrency cap.
+        # Agent dispatch runs on sync links in a thread pool; the pool's
+        # per-host slots enforce the per-agent concurrency cap.
         self._dispatch = ThreadPoolExecutor(max_workers=dispatch_workers,
                                             thread_name_prefix="gateway-dispatch")
-        self._host_slots: "dict[HostSpec, threading.Semaphore]" = {}
-        self._slots_lock = threading.Lock()
         # The per-user result cache: (requester, template, user, source)
         # -> the RESULT frame verbatim.  Jobs on one template are
         # deterministic, so a repeat SUBMIT answers from here without
@@ -182,21 +188,13 @@ class Gateway:
         """One frame, or ``None`` when the peer went away (cleanly or
         not — a gone client needs cleanup either way)."""
         try:
-            head = await reader.readexactly(_HEAD.size)
-            header_len, blob_len = _HEAD.unpack(head)
-            if header_len + blob_len > MAX_FRAME_BYTES:
-                raise WireError(f"frame too large: {header_len + blob_len} "
-                                "bytes (corrupt length prefix?)")
+            header_len, blob_len = frame_sizes(
+                await reader.readexactly(HEAD_BYTES))
             payload = await reader.readexactly(header_len)
             blob = await reader.readexactly(blob_len) if blob_len else b""
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        try:
-            header = json.loads(payload.decode())
-            type_ = header.pop("type")
-        except (ValueError, KeyError) as err:
-            raise WireError(f"bad frame header: {err}") from err
-        return Message(type_, header, blob)
+        return decode_frame(payload, blob)
 
     class _Session:
         """One client connection's write side: a framed, drain-serialised
@@ -208,23 +206,10 @@ class Gateway:
 
         async def send(self, type_: str, fields: "dict | None" = None,
                        blob: bytes = b"") -> None:
-            header = dict(fields or {})
-            header["type"] = type_
-            payload = json.dumps(header, separators=(",", ":"),
-                                 sort_keys=True).encode()
+            frame = encode_frame(type_, fields, blob)
             async with self.lock:
-                self.writer.write(_HEAD.pack(len(payload), len(blob))
-                                  + payload + blob)
+                self.writer.write(frame)
                 await self.writer.drain()
-
-    @staticmethod
-    def _echo(msg: Message, fields: "dict | None" = None) -> dict:
-        """Reply fields for ``msg``, echoing its channel id (if any) so
-        a multiplexing client routes the reply to the right waiter."""
-        fields = dict(fields or {})
-        if "channel" in msg.fields:
-            fields["channel"] = msg.fields["channel"]
-        return fields
 
     # -- connections -------------------------------------------------------
 
@@ -292,8 +277,8 @@ class Gateway:
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
             else:
-                await session.send("ERROR", self._echo(
-                    msg, {"error": f"unexpected {msg.type!r}"}))
+                await session.send("ERROR", msg.echo(
+                    {"error": f"unexpected {msg.type!r}"}))
                 return
 
     async def _handle_prepare(self, session: "Gateway._Session",
@@ -304,46 +289,27 @@ class Gateway:
         the PREPARE ingredients for relaying, reply READY."""
         fields = msg.fields
         snapshot = fields["snapshot"]
-        wire_key = template_key(snapshot, fields.get("scripts", []),
-                                fields["default_user"],
-                                fields.get("install_shill", True))
+        wire_key = template_key(fields)
         with self._templates_lock:
             known = wire_key in self._templates
-        source = "memory" if known else "store"
-        payload = self.store.get(snapshot)
-        if payload is None:
-            payload = await self._pull_blob(session, reader, msg, snapshot)
-            source = "wire"
-        probe = payload
-        while is_delta(probe):
-            base = delta_base_digest(probe)
-            probe = self.store.get(base)
-            if probe is None:
-                probe = await self._pull_blob(session, reader, msg, base)
-                source = "wire"
+        pull = BlobPull(self.store, snapshot)
+        while (digest := pull.next_need()) is not None:
+            await session.send("NEED", msg.echo({"snapshot": digest}))
+            reply = await self._read_frame(reader)
+            if reply is None:
+                raise WireClosed("client vanished mid-PREPARE")
+            pull.accept(reply)
+        source = "wire" if pull.pulled else "memory" if known else "store"
         relay = {k: v for k, v in fields.items() if k != "channel"}
         with self._templates_lock:
-            self._templates[wire_key] = (relay, msg.blob)
+            self._templates[wire_key] = WireTemplate(wire_key, relay, msg.blob,
+                                                     self.store)
         self._log("template", key=wire_key[:16], snapshot=snapshot[:16],
                   source=source)
         # build_ops is empty by construction: the gateway relays, it
         # never boots a kernel — agents report their own boot work.
-        await session.send("READY", self._echo(
-            msg, {"source": source, "build_ops": {}}))
-
-    async def _pull_blob(self, session: "Gateway._Session",
-                         reader: asyncio.StreamReader, msg: Message,
-                         digest: str) -> bytes:
-        await session.send("NEED", self._echo(msg, {"snapshot": digest}))
-        reply = await self._read_frame(reader)
-        if reply is None:
-            raise WireClosed("client vanished mid-PREPARE")
-        reply.expect("BLOB")
-        imported = self.store.import_blob(reply.blob)
-        if imported != digest:
-            raise WireError(f"BLOB carried {imported[:12]}…, "
-                            f"NEED named {digest[:12]}…")
-        return self.store.load(digest)
+        await session.send("READY", msg.echo(
+            {"source": source, "build_ops": {}}))
 
     # -- SUBMIT: admission, then relay -------------------------------------
 
@@ -363,15 +329,15 @@ class Gateway:
                       verdict="hit",
                       template=str(fields.get("template", ""))[:16])
             await self._safe_send(session, "RESULT",
-                                  self._echo(msg, reply_fields), blob)
+                                  msg.echo(reply_fields), blob)
             return
         wait = self.admission.admit(user)
         if wait is not None:
             self._log("busy", user=user, name=fields.get("name"),
                       retry_after=round(wait, 4),
                       pending=self.admission.pending)
-            await self._safe_send(session, "BUSY", self._echo(
-                msg, {"retry_after": round(wait, 4)}))
+            await self._safe_send(session, "BUSY", msg.echo(
+                {"retry_after": round(wait, 4)}))
             return
         try:
             loop = asyncio.get_running_loop()
@@ -380,7 +346,7 @@ class Gateway:
         finally:
             self.admission.release()
         self._cache_store(fields, reply_fields, blob)
-        await self._safe_send(session, "RESULT", self._echo(msg, reply_fields),
+        await self._safe_send(session, "RESULT", msg.echo(reply_fields),
                               blob)
 
     def _cache_key(self, fields: dict) -> "tuple | None":
@@ -417,108 +383,46 @@ class Gateway:
 
     def _dispatch_job(self, fields: dict, blob: bytes
                       ) -> "tuple[dict, bytes]":
-        """Relay one SUBMIT to an agent (sync; runs on the dispatch
-        pool).  Mirrors ``RemoteExecutor._run_remote``'s health
-        taxonomy: crash → strike + retry on survivors, clean GOODBYE →
-        retire + retry, exhaustion → an error RESULT (never a dead
-        connection)."""
-        index = fields.get("index")
-        name, user = fields.get("name"), fields.get("user")
-        wire_key = fields.get("template", "")
-        with self._templates_lock:
-            have_template = wire_key in self._templates
-        if not have_template:
-            return {"index": index, "status": "error", "name": name,
-                    "user": user,
-                    "traceback": "gateway: SUBMIT names a template no "
-                                 "client has PREPAREd here (gateway "
-                                 "restarted? re-open the executor)"}, b""
-        relay = {k: v for k, v in fields.items()
-                 if k not in ("channel", "requester")}
-        tried: list[str] = []
-        excluded: "set[HostSpec]" = set()
-        while True:
-            try:
-                host = self._pick(fields, wire_key, excluded)
-            except LookupError:
-                self._log("exhausted", name=name, tried=tried)
-                detail = (f" (agents tried: {', '.join(tried)})" if tried
-                          else f" ({self.pool.describe() or 'fleet is empty'})")
-                return {"index": index, "status": "error", "name": name,
-                        "user": user,
-                        "traceback": "gateway: no live agents left"
-                                     + detail}, b""
-            with self._slot(host.spec):
-                try:
-                    link = self.pool.link_for(host)
-                    self._ensure_agent_prepared(host, link, wire_key)
-                    with self.pool.lease(host):
-                        self._log("dispatch", name=name, user=user,
-                                  verdict="miss", host=str(host.spec))
-                        reply = link.request("SUBMIT", relay, blob)
-                    reply.expect("RESULT")
-                except (WireError, OSError) as err:
-                    if host.retired:
-                        self._log("retired", host=str(host.spec), name=name)
-                        excluded.add(host.spec)
-                        tried.append(f"{host.spec} (retired)")
-                        continue
-                    self.pool.mark_dead(host, err)
-                    self._log("dead", host=str(host.spec), name=name,
-                              error=str(err))
-                    excluded.add(host.spec)
-                    tried.append(f"{host.spec} ({type(err).__name__})")
-                    continue
-            out = {k: v for k, v in reply.fields.items() if k != "channel"}
-            self._log("result", name=name, host=str(host.spec),
-                      status=out.get("status", "ok"))
-            return out, reply.blob
+        """Relay one SUBMIT to an agent through the pool's failover loop
+        (sync; runs on the dispatch pool).  Every way the relay can
+        fail — an unknown template, an exhausted fleet, an exception
+        anywhere in dispatch, a raising policy included — comes back as
+        an error RESULT: a client is never left waiting on a reply that
+        will not come, and its connection is never killed."""
+        from repro.api.executors.base import ExecutorJob
 
-    def _pick(self, fields: dict, wire_key: str,
-              excluded: "set[HostSpec]") -> HostState:
-        """Policy pick; before giving up on an empty ring, re-dial dead
-        agents — a restarted agent that never re-announced (or whose
-        ANNOUNCE is still in flight) rejoins here."""
         try:
-            return self.pool.pick(excluded=excluded, job=fields,
-                                  wire_key=wire_key)
-        except LookupError:
-            revived = self.pool.try_revive(excluded=excluded)
-            if not revived:
-                raise
-            self._log("revived", hosts=[str(h.spec) for h in revived])
-            return self.pool.pick(excluded=excluded, job=fields,
-                                  wire_key=wire_key)
+            with self._templates_lock:
+                template = self._templates.get(fields.get("template", ""))
+            if template is None:
+                return self._error(fields, "gateway: SUBMIT names a template "
+                                           "no client has PREPAREd here "
+                                           "(gateway restarted? re-open the "
+                                           "executor)")
+            relay = {k: v for k, v in fields.items()
+                     if k not in ("channel", "requester")}
+            # Policies score the same job type on every path; the gateway
+            # never unpickles a client's callable, so ``fn`` stays None.
+            job = ExecutorJob(index=fields.get("index"), name=fields.get("name"),
+                              source=fields.get("source"),
+                              user=fields.get("user"))
+            reply = self.pool.dispatch(template, relay, blob, job=job,
+                                       log=self._log)
+        except HostsExhausted as err:
+            self._log("exhausted", name=fields.get("name"), tried=err.tried)
+            return self._error(fields, f"gateway: no live agents left "
+                                       f"({err.detail})")
+        except Exception:
+            return self._error(fields, _traceback.format_exc())
+        return {k: v for k, v in reply.fields.items() if k != "channel"}, reply.blob
 
-    def _slot(self, spec: HostSpec) -> threading.Semaphore:
-        with self._slots_lock:
-            sem = self._host_slots.get(spec)
-            if sem is None:
-                sem = self._host_slots[spec] = threading.Semaphore(
-                    self.concurrency)
-            return sem
-
-    def _ensure_agent_prepared(self, host: HostState, link,
-                               wire_key: str) -> None:
-        """Relay PREPARE (and any NEED/BLOB pulls, served from the
-        gateway's store) to one agent, once per template."""
-        if wire_key in host.prepared:
-            return
-        with self._templates_lock:
-            prepare_fields, fixtures = self._templates[wire_key]
-        with host.lock:
-            if wire_key in host.prepared:
-                return
-            with link.converse() as conv:
-                reply = conv.request("PREPARE", prepare_fields, fixtures)
-                while reply.type == "NEED":
-                    needed = reply.fields["snapshot"]
-                    reply = conv.request("BLOB", {"snapshot": needed},
-                                         self.store.export_blob(needed))
-            reply.expect("READY")
-            host.prepared.add(wire_key)
-            self._log("prepared", host=str(host.spec), key=wire_key[:16],
-                      source=reply.fields.get("source"))
+    @staticmethod
+    def _error(fields: dict, traceback_text: str) -> "tuple[dict, bytes]":
+        """The error-RESULT envelope for a SUBMIT the gateway could not
+        get run."""
+        return {"index": fields.get("index"), "status": "error",
+                "name": fields.get("name"), "user": fields.get("user"),
+                "traceback": traceback_text}, b""
 
     # -- the request log ---------------------------------------------------
 
@@ -539,7 +443,7 @@ class Gateway:
 
 def serve_main(argv: "list[str] | None" = None) -> int:
     """The ``python -m repro serve`` entrypoint."""
-    from repro.api.scheduling import LEGACY_POLICY_STRINGS
+    from repro.api.scheduling import POLICY_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -555,7 +459,7 @@ def serve_main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--hosts", default=None, metavar="HOST:PORT[,...]",
                         help="seed the fleet with static agent addresses "
                              "(agents may also announce themselves)")
-    parser.add_argument("--policy", choices=list(LEGACY_POLICY_STRINGS),
+    parser.add_argument("--policy", choices=list(POLICY_NAMES),
                         default=None,
                         help="scheduling policy for the fleet "
                              "(default: round-robin)")
@@ -578,9 +482,7 @@ def serve_main(argv: "list[str] | None" = None) -> int:
                              "SUBMITs answer without dispatch "
                              "(default: 1024, 0 disables)")
     args = parser.parse_args(argv)
-    # The CLI's policy strings are its native interface, not the
-    # deprecated API spelling — resolve them without a warning.
-    policy = LEGACY_POLICY_STRINGS[args.policy]() if args.policy else None
+    policy = POLICY_NAMES[args.policy]() if args.policy else None
     gateway = Gateway(
         store=args.store, host=args.host, port=args.port,
         hosts=[spec for spec in (args.hosts or "").split(",") if spec],

@@ -1,4 +1,4 @@
-"""The SchedulingPolicy protocol: built-ins, customs, and the shim."""
+"""The SchedulingPolicy protocol: built-ins, customs, and resolution."""
 
 from __future__ import annotations
 
@@ -75,26 +75,18 @@ class TestResolvePolicy:
         policy = LeastLoaded()
         assert resolve_policy(policy) is policy
 
-    def test_strings_resolve_with_exactly_one_deprecation_warning(self):
-        for name, kind in (("round-robin", RoundRobin),
-                           ("least-loaded", LeastLoaded),
-                           ("store-warmth", StoreWarmth)):
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                policy = resolve_policy(name)
-            assert isinstance(policy, kind)
-            deprecations = [w for w in seen
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1, name
-            assert name in str(deprecations[0].message)
-
-    def test_unknown_string_is_an_error_not_a_warning(self):
-        with pytest.raises(ValueError, match="flip-a-coin"):
-            resolve_policy("flip-a-coin")
-
-    def test_score_less_object_rejected(self):
+    @pytest.mark.parametrize("policy", ["round-robin", "flip-a-coin",
+                                        object()])
+    def test_score_less_objects_and_strings_rejected(self, policy):
         with pytest.raises(TypeError, match="score"):
-            resolve_policy(object())
+            resolve_policy(policy)
+
+    def test_cli_names_map_to_the_builtins(self):
+        from repro.api.scheduling import POLICY_NAMES
+
+        assert POLICY_NAMES == {"round-robin": RoundRobin,
+                                "least-loaded": LeastLoaded,
+                                "store-warmth": StoreWarmth}
 
 
 class TestCustomPolicies:

@@ -1,11 +1,16 @@
-"""HostPool: parsing, scheduling policies, health, and exclusion."""
+"""HostPool: parsing, scheduling policies, health, exclusion, and the
+failover loop."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
-from repro.api.scheduling import LeastLoaded, RoundRobin, StoreWarmth
-from repro.remote.hostpool import SHARDING_POLICIES, HostPool, HostSpec
+from repro.api.scheduling import LeastLoaded, StoreWarmth
+from repro.remote.hostpool import HostPool, HostsExhausted, HostSpec, WireTemplate
+from repro.remote.wire import Message, WireClosed
 
 
 class TestHostSpec:
@@ -53,12 +58,6 @@ class TestPolicies:
         assert pool.pick(wire_key="key-1").spec.port == 7001
         assert pool.pick(wire_key="other").spec.port == 7000
 
-    def test_policy_strings_resolve_with_one_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="policy strings") as seen:
-            pool = _pool(2, policy="least-loaded")
-        assert len(seen) == 1
-        assert isinstance(pool.policy, LeastLoaded)
-
     def test_custom_policy_object_is_consulted(self):
         class Pinned:
             def score(self, host, job, telemetry):
@@ -67,15 +66,12 @@ class TestPolicies:
         pool = _pool(3, policy=Pinned())
         assert {pool.pick().spec.port for _ in range(4)} == {7002}
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown sharding policy"):
-            _pool(policy="random")
-        assert set(SHARDING_POLICIES) == {"round-robin", "least-loaded",
-                                          "store-warmth"}
-
-    def test_policy_without_score_rejected(self):
+    @pytest.mark.parametrize("policy", ["least-loaded", "random", object()])
+    def test_policy_without_score_rejected(self, policy):
+        """Pools take policy objects only; a name string is a TypeError
+        like any other object without ``score``."""
         with pytest.raises(TypeError, match="SchedulingPolicy"):
-            _pool(policy=object())
+            _pool(policy=policy)
 
     def test_empty_and_duplicate_pools_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -149,3 +145,96 @@ class TestHealth:
         pool.mark_dead(joined, "gone")
         assert pool.add_host("127.0.0.1:7050") is joined
         assert joined.alive
+
+
+class _FakeLink:
+    """Stands in for a host's ChannelMux: a SUBMIT runs ``fail`` (which
+    may raise) and otherwise answers RESULT after a short wait, counting
+    how many SUBMITs are in flight at once."""
+
+    def __init__(self, fail=None):
+        self.fail = fail
+        self.inflight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def request(self, type_, fields=None, blob=b""):
+        if self.fail is not None:
+            self.fail()
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        time.sleep(0.02)
+        with self._lock:
+            self.inflight -= 1
+        return Message("RESULT", {"status": "ok"})
+
+    def close(self):
+        pass
+
+
+#: Already PREPAREd on every fake host (see _fake_pool), so the loop
+#: goes straight to SUBMIT.
+TEMPLATE = WireTemplate("key", {}, b"", store=None)
+
+
+def _fake_pool(*links, concurrency=1):
+    # Ports 1.. refuse connections at once, so re-dials fail fast.
+    pool = HostPool([f"127.0.0.1:{i + 1}" for i in range(len(links))],
+                    concurrency=concurrency)
+    for host, link in zip(pool.hosts, links):
+        host.link = link
+        host.prepared.add(TEMPLATE.key)
+    return pool
+
+
+class TestDispatch:
+    def test_concurrency_caps_submits_in_flight_per_host(self):
+        link = _FakeLink()
+        pool = _fake_pool(link, concurrency=2)
+        replies = []
+        threads = [threading.Thread(target=lambda: replies.append(
+            pool.dispatch(TEMPLATE, {"name": "j"}).type)) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert replies == ["RESULT"] * 6
+        assert link.peak == 2
+
+    def test_crash_strikes_the_host_and_retries_elsewhere(self):
+        def crash():
+            raise WireClosed("connection reset")
+
+        pool = _fake_pool(_FakeLink(fail=crash), _FakeLink())
+        events = []
+        reply = pool.dispatch(TEMPLATE, {"name": "j"},
+                              log=lambda event, **f: events.append(event))
+        crashed, survivor = pool.hosts
+        assert reply.type == "RESULT"
+        assert not crashed.alive and crashed.strikes == 1
+        assert survivor.jobs_done == 1
+        assert events == ["dispatch", "dead", "dispatch", "result"]
+
+    def test_goodbye_retires_without_a_strike(self):
+        pool = _fake_pool(_FakeLink(), _FakeLink())
+        polite = pool.hosts[0]
+
+        def goodbye():
+            pool.mark_retired(polite)
+            raise WireClosed("peer retired (clean GOODBYE)")
+
+        polite.link.fail = goodbye
+        assert pool.dispatch(TEMPLATE, {"name": "j"}).type == "RESULT"
+        assert polite.retired and polite.strikes == 0
+
+    def test_exhaustion_is_typed_and_lists_the_hosts_tried(self):
+        def crash():
+            raise WireClosed("connection reset")
+
+        pool = _fake_pool(_FakeLink(fail=crash), _FakeLink(fail=crash))
+        with pytest.raises(HostsExhausted) as excinfo:
+            pool.dispatch(TEMPLATE, {"name": "j"})
+        assert [t.split()[0] for t in excinfo.value.tried] == \
+            ["127.0.0.1:1", "127.0.0.1:2"]
+        assert "no live hosts left (hosts tried: 127.0.0.1:1" in str(excinfo.value)

@@ -9,6 +9,8 @@ dead pool fails typed, naming the job and the hosts tried.
 from __future__ import annotations
 
 import operator
+import threading
+import time
 
 import pytest
 
@@ -153,6 +155,32 @@ class TestEndToEnd:
             [result] = Batch(_jpeg_world(), cache=False) \
                 .add(HELLO_AMBIENT).run(executor=executor)
         assert result.stdout == "hello\n"
+
+
+class TestWireIdentity:
+    def test_first_jobs_of_a_fresh_executor_snapshot_the_template_once(
+            self, agent_factory, tmp_path):
+        """A fresh executor's first jobs reach the wire identity
+        together, one per dispatch thread.  Only one of them may
+        snapshot and link the template: concurrent writers of one link
+        race on the store's temp file, and the losers' jobs fail."""
+        _proc, addr = agent_factory("a0")
+        executor = RemoteExecutor([addr], store=tmp_path / "coord",
+                                  concurrency=4)
+        dispatch_snapshots = []
+        snapshot = executor._snapshot_into_store
+
+        def slow_snapshot(template):
+            if threading.current_thread().name.startswith("remote-dispatch"):
+                dispatch_snapshots.append(template.token)
+            time.sleep(0.05)  # widen the window every thread must cross
+            return snapshot(template)
+
+        executor._snapshot_into_store = slow_snapshot
+        with executor:
+            results = _batch(4).run(executor=executor)
+        assert all(r.ok for r in results)
+        assert len(dispatch_snapshots) == 1
 
 
 class TestAgentStore:

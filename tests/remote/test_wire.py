@@ -11,7 +11,9 @@ from repro.kernel.serialize import SnapshotError
 from repro.kernel.store import BLOB_EXPORT_MAGIC, SnapshotStore
 from repro.remote.wire import (
     WIRE_VERSION,
+    BlobPull,
     Connection,
+    Message,
     WireClosed,
     WireError,
     client_handshake,
@@ -68,6 +70,33 @@ class TestFrames:
         with pytest.raises(WireError, match="too large"):
             right.recv()
 
+    def test_oversize_frames_are_refused_on_every_send_path(self, monkeypatch):
+        """One codec: the sync Connection and the gateway's asyncio
+        session both refuse a frame above the cap before writing a byte."""
+        import asyncio
+
+        from repro.remote import wire
+        from repro.serve.gateway import Gateway
+
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+        left, _right = _pipe()
+        with pytest.raises(WireError, match="too large"):
+            left.send("BLOB", blob=b"x" * 100)
+
+        class Writer:
+            written = b""
+
+            def write(self, data):
+                self.written += data
+
+            async def drain(self):
+                pass
+
+        writer = Writer()
+        with pytest.raises(WireError, match="too large"):
+            asyncio.run(Gateway._Session(writer).send("BLOB", blob=b"x" * 100))
+        assert writer.written == b""
+
     def test_expect_rejects_wrong_type(self):
         left, right = _pipe()
         left.send("HELLO", {"version": WIRE_VERSION})
@@ -108,6 +137,42 @@ class TestHandshake:
         with pytest.raises(WireVersionError, match="wire version"):
             client_handshake(client)
         thread.join()
+
+
+def _snapshot_frame(body: bytes, base: "str | None" = None) -> bytes:
+    """A frame that parses as a full snapshot, or as a delta against
+    ``base`` (the walk reads headers only; bodies never decode)."""
+    from repro.kernel.serialize import SNAPSHOT_VERSION, _KIND_DELTA, _KIND_FULL, _MAGIC
+
+    if base is None:
+        return _MAGIC + bytes([SNAPSHOT_VERSION]) + _KIND_FULL + body
+    return _MAGIC + bytes([SNAPSHOT_VERSION]) + _KIND_DELTA + base.encode() + body
+
+
+class TestBlobPull:
+    """PREPARE's NEED/BLOB walk, driven by hand — no sockets."""
+
+    def test_needs_each_missing_link_of_the_delta_chain(self, tmp_path):
+        src = SnapshotStore(tmp_path / "src")
+        dst = SnapshotStore(tmp_path / "dst")
+        base = src.put(_snapshot_frame(b"base"))
+        delta = src.put(_snapshot_frame(b"delta", base=base))
+        pull, needed = BlobPull(dst, delta), []
+        while (digest := pull.next_need()) is not None:
+            needed.append(digest)
+            pull.accept(Message("BLOB", {}, src.export_blob(digest)))
+        assert needed == [delta, base] and pull.pulled
+        again = BlobPull(dst, delta)  # the whole chain is local now
+        assert again.next_need() is None and not again.pulled
+
+    def test_a_blob_other_than_the_one_needed_is_refused(self, tmp_path):
+        src = SnapshotStore(tmp_path / "src")
+        wanted = src.put(_snapshot_frame(b"wanted"))
+        other = src.put(_snapshot_frame(b"other"))
+        pull = BlobPull(SnapshotStore(tmp_path / "dst"), wanted)
+        assert pull.next_need() == wanted
+        with pytest.raises(WireError, match="NEED named"):
+            pull.accept(Message("BLOB", {}, src.export_blob(other)))
 
 
 class TestBlobExport:

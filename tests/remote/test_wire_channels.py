@@ -3,8 +3,8 @@
 The mux contracts: N threads share one connection, replies route by
 channel id even arriving out of order; a conversation (PREPARE's
 NEED/BLOB loop) gates new sends without stalling in-flight replies; a
-v1 peer negotiates down to a lock-step link; an unsolicited GOODBYE is
-a clean retirement, not a crash.
+v1 peer is refused, readably, in either direction; an unsolicited
+GOODBYE is a clean retirement, not a crash.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.remote.wire import (
     WIRE_VERSION,
     ChannelMux,
     Connection,
-    LockstepLink,
     WireClosed,
     WireVersionError,
     open_link,
@@ -172,19 +171,27 @@ class _MiniAgent:
 
 
 class TestNegotiation:
-    def test_v1_peer_negotiates_down_to_lockstep(self):
+    def test_v1_peers_are_refused(self, agent_factory):
+        """Every peer lives in this tree, so the wire speaks v2 only: a
+        v1 agent is refused with a typed error, and a v1 client gets the
+        agent's readable ERROR frame."""
         agent = _MiniAgent(version=1)
-        link, hello = open_link("127.0.0.1", agent.port)
-        assert isinstance(link, LockstepLink)
-        assert link.version == 1
-        assert link.concurrency == 1
-        link.close()
+        with pytest.raises(WireVersionError, match="wire version 1"):
+            open_link("127.0.0.1", agent.port)
+
+        _proc, addr = agent_factory("v2-only")
+        host, port = addr.rsplit(":", 1)
+        conn = Connection(socket.create_connection((host, int(port))))
+        reply = conn.request("HELLO", {"version": 1})
+        conn.close()
+        assert reply.type == "ERROR"
+        assert "no common wire version" in reply.fields["error"]
 
     def test_v2_peer_gets_a_mux(self):
         agent = _MiniAgent(version=WIRE_VERSION)
         link, hello = open_link("127.0.0.1", agent.port)
         assert isinstance(link, ChannelMux)
-        assert link.version == WIRE_VERSION
+        assert hello.fields["version"] == WIRE_VERSION
         link.close()
 
     def test_peer_replying_above_our_version_is_refused(self):

@@ -9,13 +9,15 @@ clients down without failing them; the CLI reaches all of it.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.api import Batch, ScriptRegistry, SequentialExecutor, ServeExecutor, World, clear_result_cache
 from repro.remote.agent import spawn_local_agent
-from repro.serve import spawn_local_gateway
+from repro.serve import Gateway, spawn_local_gateway
 
 #: Must match tests/remote/conftest.py's marker (not imported; conftest
 #: modules are pytest's own).
@@ -72,6 +74,52 @@ def fleet(tmp_path):
         proc.kill()
     for proc in procs:
         proc.wait(timeout=10)
+
+
+@pytest.fixture
+def local_gateway(tmp_path):
+    """An in-process :class:`Gateway` serving from its own event-loop
+    thread, for tests that hand it Python objects (policies); yields
+    ``start(**gateway_kwargs) -> "host:port"``."""
+    running = []
+
+    def start(**kwargs) -> str:
+        gateway = Gateway(store=tmp_path / "gw", **kwargs)
+        loop = asyncio.new_event_loop()
+        server = loop.run_until_complete(gateway.start())
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        running.append((gateway, loop, server, thread))
+        return f"{gateway.address[0]}:{gateway.address[1]}"
+
+    yield start
+    for gateway, loop, server, thread in running:
+        loop.call_soon_threadsafe(server.close)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        loop.close()
+        gateway.close()
+
+
+def _run_bounded(batch: Batch, gateway: str, store, seconds: float = 60):
+    """Run ``batch`` through a ServeExecutor on a daemon thread and
+    return ``{"results": [...]}`` or ``{"error": exc}`` — a client the
+    gateway leaves hanging fails the test, not the whole suite."""
+    outcome: dict = {}
+
+    def run():
+        try:
+            with ServeExecutor(gateway, store=store) as executor:
+                outcome["results"] = batch.run(executor=executor)
+        except Exception as err:
+            outcome["error"] = err
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "the gateway left its client hanging"
+    return outcome
 
 
 class TestEndToEnd:
@@ -134,6 +182,47 @@ find_jpg = fun(cur, out) {
         with ServeExecutor(gw, store=tmp_path / "client") as executor:
             [result] = batch.run(executor=executor)
         assert "dog.jpg" in result.stdout
+
+
+class TestGatewayPolicies:
+    """Policies plug into the gateway exactly as into RemoteExecutor:
+    they score an ExecutorJob, and a broken one fails jobs typed."""
+
+    def test_policies_score_an_executor_job(self, local_gateway, tmp_path):
+        class ByName:
+            def __init__(self):
+                self.names = []
+
+            def score(self, host, job, telemetry):
+                self.names.append(job.name)
+                return 0.0
+
+        policy = ByName()
+        gw = local_gateway(policy=policy)
+        proc, _addr = spawn_local_agent(tmp_path / "agent", announce=gw)
+        try:
+            outcome = _run_bounded(_batch(2), gw, tmp_path / "client")
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert "error" not in outcome, outcome
+        assert all(r.ok for r in outcome["results"])
+        assert sorted(set(policy.names)) == ["j0", "j1"]
+
+    def test_a_raising_policy_fails_the_job_not_the_client(self, local_gateway,
+                                                           tmp_path):
+        from repro.api import BatchExecutionError
+
+        class Broken:
+            def score(self, host, job, telemetry):
+                raise RuntimeError("policy exploded")
+
+        # One seeded (unreachable) agent: the policy is consulted, and
+        # raises, before anything is dialled.
+        gw = local_gateway(policy=Broken(), hosts=["127.0.0.1:1"])
+        outcome = _run_bounded(_batch(1), gw, tmp_path / "client")
+        assert isinstance(outcome.get("error"), BatchExecutionError)
+        assert "policy exploded" in str(outcome["error"])
 
 
 class TestAgentChurn:
