@@ -88,7 +88,7 @@ def test_fork_isolation_survives_the_speedup() -> None:
 def test_batched_find_rows(benchmark, parallel: bool) -> None:
     """A batched mini-workload over per-job forks, timed sequentially and
     thread-parallel (per-worker kernels)."""
-    from repro.api import Batch, clear_result_cache
+    from repro.api import Batch, SequentialExecutor, ThreadExecutor, clear_result_cache
 
     src = """#lang shill/ambient
 srcdir = open_dir("/usr/src");
@@ -102,7 +102,8 @@ listing = contents(srcdir);
         batch = Batch(world, cache=False)
         for i in range(8):
             batch.add(src, name=f"walk{i}")
-        results = batch.run(parallel=parallel, workers=4)
+        with ThreadExecutor(workers=4) if parallel else SequentialExecutor() as executor:
+            results = batch.run(executor=executor)
         assert len(results) == 8
 
     benchmark.pedantic(run, rounds=3, iterations=1)

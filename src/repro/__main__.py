@@ -21,9 +21,9 @@ Usage::
         picks the execution strategy: sequential (default), thread (a
         thread pool with per-job kernels), process (kernel snapshots
         shipped to worker processes), or store (worker processes boot
-        from a persistent on-disk snapshot store; see --store).
-        --backend is the deprecated spelling of --executor.  Results
-        are byte-identical whatever the strategy.  --json emits a
+        from a persistent on-disk snapshot store; see --store), remote
+        (agent hosts; see --hosts) or serve (a gateway; see --gateway).
+        Results are byte-identical whatever the strategy.  --json emits a
         machine-readable summary with the deterministic kernel op
         counts per job.  An engine/worker failure (not a script error)
         prints the failing job to stderr and exits 3.
@@ -74,21 +74,28 @@ import pathlib
 import sys as _hostsys
 
 from repro.api import (
-    BATCH_BACKENDS,
-    EXECUTOR_CHOICES,
     FIXTURE_CHOICES,
     Batch,
     BatchExecutionError,
+    Executor,
+    ProcessExecutor,
+    RemoteExecutor,
     ScriptRegistry,
+    SequentialExecutor,
+    ServeExecutor,
     SnapshotStore,
+    StoreExecutor,
+    ThreadExecutor,
     World,
-    create_executor,
 )
 from repro.api.scheduling import POLICY_NAMES
 
 #: Exit status for engine/worker failures (script failures exit with the
 #: script's own status, like a shell).
 EXIT_BATCH_ERROR = 3
+
+#: ``repro batch --executor`` choices, in the order ``--help`` lists them.
+EXECUTOR_NAMES = ("sequential", "thread", "process", "store", "remote", "serve")
 
 
 def cmd_demo(_args: argparse.Namespace) -> int:
@@ -143,37 +150,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     for script in args.scripts:
         path = pathlib.Path(script)
         batch.add(path.read_text(), name=path.name)
-    name = args.executor or args.backend
-    if name is None:
-        name = "thread" if args.parallel else "sequential"
-    if args.store is not None and name not in ("store", "remote", "serve"):
-        _hostsys.stderr.write(
-            "repro batch: --store only applies to --executor "
-            "store/remote/serve\n")
+    executor = _batch_executor(args)
+    if executor is None:
         return 2
-    hosts = [spec for spec in (args.hosts or "").split(",") if spec]
-    if (hosts or args.policy is not None) and name != "remote":
-        _hostsys.stderr.write(
-            "repro batch: --hosts/--policy only apply to --executor remote\n")
-        return 2
-    if name == "remote" and not hosts:
-        _hostsys.stderr.write(
-            "repro batch: --executor remote needs --hosts HOST:PORT[,...] "
-            "(start agents with `python -m repro agent`)\n")
-        return 2
-    if args.gateway is not None and name != "serve":
-        _hostsys.stderr.write(
-            "repro batch: --gateway only applies to --executor serve\n")
-        return 2
-    if name == "serve" and not args.gateway:
-        _hostsys.stderr.write(
-            "repro batch: --executor serve needs --gateway HOST:PORT "
-            "(start one with `python -m repro serve`)\n")
-        return 2
-    policy = POLICY_NAMES[args.policy]() if args.policy else None
-    executor = create_executor(name, workers=args.workers, store=args.store,
-                               hosts=hosts, policy=policy,
-                               gateway=args.gateway)
     try:
         with executor:
             results = batch.run(executor=executor)
@@ -229,6 +208,43 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"-- {stats['jobs']} jobs, {stats['forks']} world forks, "
               f"{stats['cache_hits']} result-cache hits --")
     return max((r.status for r in results), default=0)
+
+
+def _batch_executor(args: argparse.Namespace) -> "Executor | None":
+    """The executor ``repro batch --executor NAME`` runs on: the one
+    place a name becomes an executor.  A flag the name does not take, or
+    a missing one it needs, prints a usage error and returns None."""
+    name = args.executor
+    hosts = [spec for spec in (args.hosts or "").split(",") if spec]
+    if args.store is not None and name not in ("store", "remote", "serve"):
+        error = "--store only applies to --executor store/remote/serve"
+    elif (hosts or args.policy is not None) and name != "remote":
+        error = "--hosts/--policy only apply to --executor remote"
+    elif name == "remote" and not hosts:
+        error = ("--executor remote needs --hosts HOST:PORT[,...] "
+                 "(start agents with `python -m repro agent`)")
+    elif args.gateway is not None and name != "serve":
+        error = "--gateway only applies to --executor serve"
+    elif name == "serve" and not args.gateway:
+        error = ("--executor serve needs --gateway HOST:PORT "
+                 "(start one with `python -m repro serve`)")
+    else:
+        error = None
+    if error is not None:
+        _hostsys.stderr.write(f"repro batch: {error}\n")
+        return None
+    if name == "store":
+        return StoreExecutor(store=args.store, workers=args.workers)
+    if name == "remote":
+        policy = POLICY_NAMES[args.policy]() if args.policy else None
+        return RemoteExecutor(hosts, store=args.store, policy=policy,
+                              workers=args.workers)
+    if name == "serve":
+        return ServeExecutor(args.gateway, store=args.store,
+                             workers=args.workers)
+    local = {"sequential": SequentialExecutor, "thread": ThreadExecutor,
+             "process": ProcessExecutor}
+    return local[name](workers=args.workers)
 
 
 def _boot_note(executor) -> str:
@@ -416,15 +432,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="capability-safe script file(s) to register")
     batch_p.add_argument("--user", default="alice")
     batch_p.add_argument("--fixture", choices=list(FIXTURE_CHOICES), default="jpeg")
-    batch_p.add_argument("--executor", choices=list(EXECUTOR_CHOICES), default=None,
+    batch_p.add_argument("--executor", choices=EXECUTOR_NAMES, default="sequential",
                          help="execution strategy (default: sequential); "
                               "'process' fans kernel snapshots out to worker "
                               "processes, 'store' boots workers from the "
                               "persistent snapshot store (see --store)")
-    batch_p.add_argument("--backend", choices=list(BATCH_BACKENDS), default=None,
-                         help="deprecated spelling of --executor")
-    batch_p.add_argument("--parallel", action="store_true",
-                         help="deprecated spelling of --executor thread")
     batch_p.add_argument("--store", default=None, metavar="DIR",
                          help="snapshot store directory for --executor "
                               "store/remote (default: $REPRO_STORE, else the "

@@ -9,12 +9,12 @@ Everything above the kernel goes through five nouns:
 * :class:`Session` — one SHILL invocation: runs ambient scripts, loads
   capability-safe exports, and snapshots results;
 * :class:`Batch` — many (script, user) jobs over per-job world forks,
-  dispatched to a pluggable :class:`Executor`
-  (:mod:`repro.api.executors`: sequential, thread, process, or a
-  snapshot-store-backed worker fleet) with byte-identical results
-  however they run, consumed eagerly (``run``) or as futures
-  (``stream`` / ``as_completed``), plus a result cache keyed on
-  (world digest, script, user);
+  dispatched to the :class:`Executor` instance passed as ``executor=``
+  (:mod:`repro.api.executors`: sequential, thread, process, a
+  snapshot-store-backed worker fleet, remote agents, or a serving
+  gateway) with byte-identical results however they run, consumed
+  eagerly (``run``) or as futures (``stream`` / ``as_completed``), plus
+  a result cache keyed on (world digest, script, user);
 * :class:`Sandbox` — the ``shill-run`` debugging tool: one command under
   a policy file;
 * :class:`RunResult` — the frozen answer object (stdout, stderr, exit
@@ -34,17 +34,14 @@ A typical flow::
     print(result.stdout, result.sandbox_count)
 
 The engine underneath (:class:`repro.lang.runner.ShillRuntime`,
-:func:`repro.world.build_world`) remains importable from its historical
-locations for tests of the language ↔ sandbox seam, and — deprecated —
-from this module.
+:func:`repro.world.build_world`) is internal: it stays importable from
+those modules for tests of the language ↔ sandbox seam, not from this
+one.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.api.batch import (
-    BATCH_BACKENDS,
     Batch,
     BatchExecutionError,
     BatchJob,
@@ -53,7 +50,6 @@ from repro.api.batch import (
 )
 from repro.api.caching import BoundedCache
 from repro.api.executors import (
-    EXECUTOR_CHOICES,
     Executor,
     ExecutorJob,
     JobHandle,
@@ -65,9 +61,6 @@ from repro.api.executors import (
     SnapshotStore,
     StoreExecutor,
     ThreadExecutor,
-    create_executor,
-    register_executor,
-    resolve_executor,
 )
 from repro.api.registry import SCRIPT_SUFFIXES, ScriptRegistry
 from repro.api.scheduling import (
@@ -105,7 +98,6 @@ __all__ = [
     "Batch",
     "BatchExecutionError",
     "BatchJob",
-    "BATCH_BACKENDS",
     "Executor",
     "ExecutorJob",
     "JobHandle",
@@ -118,10 +110,6 @@ __all__ = [
     "ServeExecutor",
     "SnapshotStore",
     "BoundedCache",
-    "EXECUTOR_CHOICES",
-    "register_executor",
-    "create_executor",
-    "resolve_executor",
     "SchedulingPolicy",
     "RoundRobin",
     "LeastLoaded",
@@ -149,8 +137,6 @@ __all__ = [
     "LintRejection",
 ]
 
-_DEPRECATED = ("ShillRuntime", "build_world")
-
 
 def __getattr__(name: str):
     # Loaded on demand so the analysis package (parser, contract
@@ -159,20 +145,4 @@ def __getattr__(name: str):
         from repro.analysis.gate import LintRejection
 
         return LintRejection
-    # Deprecation shims: the engine stays reachable under the new roof so
-    # code mid-migration can flip one import at a time.
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.api.{name} is a deprecated alias for the internal engine; "
-            "use repro.api.World / repro.api.Session instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "ShillRuntime":
-            from repro.lang.runner import ShillRuntime
-
-            return ShillRuntime
-        from repro.world import build_world
-
-        return build_world
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

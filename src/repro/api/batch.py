@@ -17,23 +17,21 @@ Per-job forks buy two properties at once:
   byte-identical results to the sequential run:
   ``[r.fingerprint() for r in ...]`` is invariant under scheduling.
 
-*Where* jobs run is a pluggable :class:`repro.api.executors.Executor`
-(see README "Executors"): ``SequentialExecutor``, ``ThreadExecutor``,
-``ProcessExecutor``, or ``StoreExecutor`` (worker processes booting from
-a persistent on-disk :class:`~repro.kernel.store.SnapshotStore`).
-``Batch`` itself is a thin façade: it classifies jobs against the result
-cache, hands the rest to the executor, and merges completions back into
-submission order.  Three consumption shapes::
+*Where* jobs run is the :class:`repro.api.executors.Executor` instance
+passed as ``executor=`` (see README "Executors"): ``SequentialExecutor``
+(the default), ``ThreadExecutor``, ``ProcessExecutor``,
+``StoreExecutor`` (worker processes booting from a persistent on-disk
+:class:`~repro.kernel.store.SnapshotStore`), ``RemoteExecutor`` or
+``ServeExecutor``.  ``Batch`` itself is a thin façade: it classifies
+jobs against the result cache, hands the rest to the executor, and
+merges completions back into submission order.  Three consumption
+shapes::
 
     results = batch.run(executor=ProcessExecutor(8))   # list, in order
-    for result in batch.stream(backend="process"):     # in order, as ready
+    for result in batch.stream(executor=ex):           # in order, as ready
         ...
     for job, result in batch.as_completed():           # completion order
         ...
-
-The legacy ``backend="sequential"|"thread"|"process"`` strings (and the
-older ``parallel=`` boolean) keep working through the
-executor registry (:func:`~repro.api.executors.create_executor`).
 
 Job failures are part of the contract: a script error (any
 :class:`~repro.errors.ReproError`) becomes a failed :class:`RunResult`
@@ -69,7 +67,6 @@ dispatched to executors, and executor results are merged back in.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
@@ -79,9 +76,9 @@ from repro.api.executors.base import (
     Executor,
     ExecutorJob,
     JobTemplate,
-    create_executor,
     execute_job,
 )
+from repro.api.executors.local import SequentialExecutor
 from repro.api.registry import ScriptRegistry
 from repro.api.results import RunResult
 
@@ -89,7 +86,6 @@ if TYPE_CHECKING:
     from repro.api.worlds import World
 
 __all__ = [
-    "BATCH_BACKENDS",
     "Batch",
     "BatchExecutionError",
     "BatchJob",
@@ -97,11 +93,6 @@ __all__ = [
     "execute_job",
     "result_cache_size",
 ]
-
-#: The legacy execution-backend strings (pre-executor API).  The full
-#: set — including ``"store"`` — lives in
-#: :data:`repro.api.executors.EXECUTOR_CHOICES`.
-BATCH_BACKENDS = ("sequential", "thread", "process")
 
 #: The default, module-level result cache: a bounded FIFO shared by
 #: every Batch that is not given its own cache.  Each entry is a
@@ -255,72 +246,36 @@ class Batch:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, *, parallel: bool = False, workers: int | None = None,
-            backend: str | None = None,
-            executor: "Executor | None" = None) -> list[RunResult]:
+    def run(self, *, executor: "Executor | None" = None) -> list[RunResult]:
         """Execute every queued job; results in submission order.
 
         ``executor`` is the execution strategy (an
         :class:`repro.api.executors.Executor` instance — the batch binds
         it but does not close it, so one executor can serve many runs).
-        The legacy spellings resolve through the deprecation shim:
-        ``backend=`` strings construct a fresh executor per run (closed
-        afterwards) and ``parallel=True`` means ``backend="thread"``.
+        ``None`` runs on a :class:`SequentialExecutor` this run owns.
         Whatever the strategy, results are byte-identical (compare
         :meth:`RunResult.fingerprint`).
         """
-        chosen, owned = self._resolve(parallel, workers, backend, executor)
-        return list(self._merge_in_order(self._drive(chosen, owned)))
+        return list(self._merge_in_order(self._drive(executor)))
 
-    def stream(self, *, parallel: bool = False, workers: int | None = None,
-               backend: str | None = None,
-               executor: "Executor | None" = None) -> Iterator[RunResult]:
+    def stream(self, *, executor: "Executor | None" = None) -> Iterator[RunResult]:
         """Like :meth:`run`, but yield each result **in submission order
         as soon as it (and every earlier job) has finished** — an ordered
         merge over the executor's completion stream, so a consumer sees
         the exact ``run()`` list without waiting for the whole batch.
         """
-        chosen, owned = self._resolve(parallel, workers, backend, executor)
-        return self._merge_in_order(self._drive(chosen, owned))
+        return self._merge_in_order(self._drive(executor))
 
-    def as_completed(self, *, parallel: bool = False, workers: int | None = None,
-                     backend: str | None = None,
-                     executor: "Executor | None" = None,
+    def as_completed(self, *, executor: "Executor | None" = None,
                      ) -> Iterator[tuple[BatchJob, RunResult]]:
         """Yield ``(job, result)`` pairs in **completion order** — cache
         hits first, then jobs as the executor finishes them.  Use this to
         react to results as they land when submission order does not
         matter; fingerprint guarantees are unchanged (the *set* of
         results equals the ``run()`` list)."""
-        chosen, owned = self._resolve(parallel, workers, backend, executor)
-        return ((job, result) for _index, job, result in self._drive(chosen, owned))
+        return ((job, result) for _index, job, result in self._drive(executor))
 
     # -- the driver --------------------------------------------------------
-
-    def _resolve(self, parallel: bool, workers: int | None,
-                 backend: str | None,
-                 executor: "Executor | None") -> tuple[Executor, bool]:
-        """(executor, whether this run owns — and must close — it)."""
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be positive")
-        if executor is not None:
-            if backend is not None or parallel:
-                raise ValueError("pass either executor= or the legacy "
-                                 "backend=/parallel= spelling, not both")
-            if workers is not None:
-                raise ValueError("workers is the executor's to own; "
-                                 "construct it with workers=N")
-            return executor, False
-        if parallel:
-            # stacklevel 3 = the caller of run/stream/as_completed, each
-            # of which calls _resolve directly.
-            warnings.warn(
-                "Batch.run(parallel=True) is deprecated; pass "
-                "backend='thread' or executor=ThreadExecutor()",
-                DeprecationWarning, stacklevel=3)
-        if backend is None:
-            backend = "thread" if parallel else "sequential"
-        return create_executor(backend, workers=workers), True
 
     @staticmethod
     def _merge_in_order(completions: "Iterator[tuple[int, BatchJob, RunResult]]",
@@ -333,12 +288,14 @@ class Batch:
                 yield buffered.pop(next_index)
                 next_index += 1
 
-    def _drive(self, chosen: Executor, owned: bool,
+    def _drive(self, executor: "Executor | None",
                ) -> Iterator[tuple[int, BatchJob, RunResult]]:
         """Classify, dispatch, merge: yields (index, job, result) with
         cache hits first and executor completions as they land; raises
         the submission-earliest :class:`BatchExecutionError` after
         draining, so sibling results still reach the cache."""
+        owned = executor is None
+        chosen = SequentialExecutor() if owned else executor
         try:
             # Gate before the executor touches anything: a strict-mode
             # rejection must look identical whether the batch would have

@@ -15,29 +15,22 @@ The :class:`Executor` protocol (``submit``/``as_completed``/``map``/
 * :class:`ServeExecutor` — jobs through a long-lived ``repro serve``
   gateway that owns the agent fleet and the admission story.
 
-Strategies live in a **registry**: each module calls
-:func:`register_executor` at import, :func:`create_executor` constructs
-by name, and :data:`EXECUTOR_CHOICES` is a live view of the registered
-names — ``Batch``'s ``backend=`` strings and the CLI's ``--executor``
-flag both resolve through it, so registering your own strategy makes it
-usable everywhere at once.  The legacy :func:`resolve_executor` spelling
-survives as a deprecation shim.  See ``docs/executors.md`` for how to
-author a new strategy.
+Executors are values: ``Batch.run(executor=...)`` and
+``WorldPool.map(executor=...)`` take an instance, and the CLI's
+``repro batch --executor NAME`` is the one place a name becomes one.
+Your own strategy is a subclass passed the same way.  See
+``docs/executors.md`` for how to author one.
 """
 
 from repro.api.executors.base import (
     DEFAULT_WORKERS,
-    EXECUTOR_CHOICES,
     BatchExecutionError,
     BootInfo,
     Executor,
     ExecutorJob,
     JobHandle,
     JobTemplate,
-    create_executor,
     execute_job,
-    register_executor,
-    resolve_executor,
     run_job,
 )
 from repro.api.executors.local import SequentialExecutor, ThreadExecutor
@@ -62,11 +55,7 @@ __all__ = [
     "RemoteExecutor",
     "ServeExecutor",
     "SnapshotStore",
-    "EXECUTOR_CHOICES",
     "DEFAULT_WORKERS",
     "execute_job",
     "run_job",
-    "register_executor",
-    "create_executor",
-    "resolve_executor",
 ]

@@ -1,11 +1,8 @@
 """The Executor protocol: execution strategies as first-class objects.
 
-Historically ``Batch(backend="sequential"|"thread"|"process")`` hard-wired
-three strategies inside one class.  This package turns the execution
-surface into a *protocol*: an :class:`Executor` owns its resources
-(threads, worker processes, a snapshot store), is bound to a
-:class:`JobTemplate` (one booted machine plus the script registry jobs
-run against), and exposes four verbs::
+An :class:`Executor` owns its resources (threads, worker processes, a
+snapshot store), is bound to a :class:`JobTemplate` (one booted machine
+plus the script registry jobs run against), and exposes four verbs::
 
     executor.bind(template)
     handle = executor.submit(job)      # -> JobHandle (future-like)
@@ -13,16 +10,10 @@ run against), and exposes four verbs::
     executor.map(jobs)                 # submit all, gather in order
     executor.close()                   # release pools/processes
 
-:class:`repro.api.Batch` is a thin façade over this: ``backend=`` strings
-resolve to executor instances via the **executor registry** —
-:func:`register_executor` maps a name to a factory, the shipped
-strategies register themselves on import, :func:`create_executor`
-constructs by name, and :data:`EXECUTOR_CHOICES` is a live view of the
-registered names (the CLI's ``--executor`` choices come from it).  New
-strategies — yours included — plug in by implementing this protocol and
-registering a factory, without touching ``Batch`` or the CLI.
-:func:`resolve_executor` survives as the deprecation shim for the old
-string-only spelling.
+Executors are values: a caller says where jobs run by passing an
+instance (``Batch(...).run(executor=ThreadExecutor(8))``), never by
+naming one.  New strategies — yours included — plug in by implementing
+this protocol, without touching ``Batch``.
 
 Two job shapes share the protocol:
 
@@ -47,7 +38,6 @@ import dataclasses
 import itertools
 import threading
 import traceback as _traceback
-import warnings
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures import as_completed as _futures_as_completed
@@ -60,107 +50,6 @@ from repro.errors import ReproError
 if TYPE_CHECKING:
     from repro.api.worlds import World
     from repro.kernel.kernel import Kernel
-
-#: name -> factory.  The shipped strategies self-register when their
-#: modules import (:func:`_ensure_builtins` forces that lazily, so the
-#: registry is complete whenever anyone actually reads it).
-_EXECUTOR_REGISTRY: "dict[str, Callable[..., Executor]]" = {}
-
-
-def register_executor(name: str, factory: "Callable[..., Executor]") -> None:
-    """Register an execution strategy under ``name``.
-
-    ``factory`` is called with keyword options (``workers=``, ``store=``,
-    ``hosts=``, ``policy=``, ``gateway=``, ``concurrency=`` — whatever
-    the call site supplies; accept ``**_`` for the ones you ignore) and
-    returns an :class:`Executor`.  Registering makes the name
-    constructible via :func:`create_executor`, visible in
-    :data:`EXECUTOR_CHOICES`, and therefore valid for ``Batch``'s
-    ``backend=`` and the CLI's ``--executor``.  Re-registering a name
-    replaces it.
-
-    Example::
-
-        from repro.api.executors import (
-            EXECUTOR_CHOICES, SequentialExecutor, register_executor)
-
-        register_executor("careful", lambda **opts: SequentialExecutor())
-        assert "careful" in EXECUTOR_CHOICES
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("executor names must be non-empty strings")
-    if not callable(factory):
-        raise TypeError(f"executor factory for {name!r} is not callable")
-    _EXECUTOR_REGISTRY[name] = factory
-
-
-def _ensure_builtins() -> None:
-    # Importing the package pulls in every shipped strategy module, each
-    # of which registers itself at import time.
-    import repro.api.executors  # noqa: F401
-
-
-def create_executor(name: str, **options: Any) -> "Executor":
-    """Construct a registered executor by name, forwarding ``options``
-    to its factory.  This is the string-to-executor path ``Batch``, the
-    CLI and :func:`resolve_executor` all funnel through — unlike the
-    latter, it carries no deprecation baggage.
-
-    Example::
-
-        from repro.api.executors import create_executor
-
-        executor = create_executor("thread", workers=2)
-        assert executor.name == "thread" and executor.workers == 2
-        executor.close()
-    """
-    _ensure_builtins()
-    factory = _EXECUTOR_REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown backend {name!r}; choices: {', '.join(EXECUTOR_CHOICES)}")
-    return factory(**options)
-
-
-class _ExecutorChoices:
-    """A live, ordered view of the registered executor names.
-
-    Behaves like the tuple it replaced (iteration, ``in``, indexing,
-    comparison) but always reflects the registry — names added by
-    :func:`register_executor` appear without anyone re-importing this
-    constant.
-    """
-
-    @staticmethod
-    def _names() -> tuple:
-        _ensure_builtins()
-        return tuple(_EXECUTOR_REGISTRY)
-
-    def __iter__(self):
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __getitem__(self, index):
-        return self._names()[index]
-
-    def __contains__(self, name) -> bool:
-        return name in self._names()
-
-    def __eq__(self, other) -> bool:
-        return tuple(self._names()) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(self._names())
-
-
-#: The executor names ``create_executor`` (and therefore the ``backend=``
-#: strings, ``World.pool`` and the CLI ``--executor`` flag) accepts — a
-#: live view over the registry, in registration order.  ``"remote"``
-#: additionally needs ``hosts=`` (the CLI's ``--hosts``) naming its
-#: agent addresses; ``"serve"`` needs ``gateway=`` (``--gateway``).
-EXECUTOR_CHOICES = _ExecutorChoices()
 
 #: Default worker count when a caller names none.
 DEFAULT_WORKERS = 4
@@ -576,33 +465,3 @@ class Executor:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} workers={self.workers}>"
-
-
-def resolve_executor(backend: str, *, workers: "int | None" = None,
-                     store: Any = None, hosts: Any = None,
-                     policy: Any = None) -> Executor:
-    """The deprecation shim from ``backend=`` strings to executors.
-
-    Old call sites keep working through here at the price of one
-    :class:`DeprecationWarning`; new code constructs executor instances
-    directly (``Batch(...).run(executor=ThreadExecutor(8))``) or calls
-    :func:`create_executor`, which resolves the same registry without
-    the warning.
-
-    Example::
-
-        import warnings
-        from repro.api import resolve_executor
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            executor = resolve_executor("thread", workers=2)
-        assert executor.name == "thread" and executor.workers == 2
-        executor.close()
-    """
-    warnings.warn(
-        "resolve_executor() is deprecated; construct executors directly "
-        "(e.g. ThreadExecutor(workers=2)) or use create_executor()",
-        DeprecationWarning, stacklevel=2)
-    return create_executor(backend, workers=workers, store=store,
-                           hosts=hosts, policy=policy)

@@ -7,6 +7,7 @@ process/store executors do, just without the serialization round-trip.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.api.executors.base import (
@@ -14,7 +15,6 @@ from repro.api.executors.base import (
     ExecutorJob,
     JobHandle,
     JobTemplate,
-    register_executor,
     run_job,
 )
 
@@ -78,17 +78,19 @@ class ThreadExecutor(Executor):
     def __init__(self, workers: "int | None" = None) -> None:
         super().__init__(workers)
         self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
 
     def _submit(self, template: JobTemplate, job: ExecutorJob) -> JobHandle:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return JobHandle(job, self._pool.submit(run_job, template, job))
+        # Owners may submit from several threads; the lazy pool must not
+        # be created twice, or the loser's threads leak past close().
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(max_workers=self.workers)
+            pool = self._pool
+        return JobHandle(job, pool.submit(run_job, template, job))
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-register_executor("sequential", lambda workers=None, **_: SequentialExecutor(workers=workers))
-register_executor("thread", lambda workers=None, **_: ThreadExecutor(workers=workers))
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)

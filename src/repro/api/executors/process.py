@@ -9,9 +9,7 @@ tracebacks across process boundaries faithfully.
 
 The pool is cached per template *token*: rebinding the same machine
 state reuses warm workers, so an executor held across many batches pays
-the snapshot + spawn cost once (the old ``backend="process"`` string
-spelling constructs a fresh executor per run and keeps the old
-pool-per-run behaviour).
+the snapshot + spawn cost once; one constructed per run pays it per run.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.api.executors.base import (
     JobHandle,
     JobTemplate,
     portable_fixtures,
-    register_executor,
     run_job,
 )
 from repro.api.results import RunResult
@@ -182,6 +179,3 @@ class ProcessExecutor(Executor):
             self._pool.shutdown(wait=True)
             self._pool = None
             self._pool_token = None
-
-
-register_executor("process", lambda workers=None, **_: ProcessExecutor(workers=workers))

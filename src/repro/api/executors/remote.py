@@ -48,7 +48,6 @@ from repro.api.executors.base import (
     JobHandle,
     JobTemplate,
     portable_fixtures,
-    register_executor,
 )
 from repro.api.executors.store import StoreBootMixin
 from repro.api.scheduling import SchedulingPolicy
@@ -239,16 +238,3 @@ class RemoteExecutor(StoreBootMixin, Executor):
     def __repr__(self) -> str:
         return (f"<RemoteExecutor {self.hosts!r} store={self.store.root} "
                 f"workers={self.workers}>")
-
-
-def _make_remote(workers=None, store=None, hosts=None, policy=None,
-                 concurrency=1, **_):
-    if not hosts:
-        raise ValueError("the remote executor needs hosts= (agent "
-                         "addresses, e.g. ['127.0.0.1:7001']); start "
-                         "agents with `python -m repro agent`")
-    return RemoteExecutor(hosts=hosts, store=store, workers=workers,
-                          policy=policy, concurrency=concurrency)
-
-
-register_executor("remote", _make_remote)

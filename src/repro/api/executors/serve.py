@@ -22,15 +22,10 @@ cross-executor equivalence gate extends to the gateway unchanged
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from repro.api.executors.base import register_executor
 from repro.api.executors.remote import RemoteExecutor
 from repro.kernel.store import SnapshotStore
 from repro.remote.hostpool import HostSpec
-
-if TYPE_CHECKING:
-    pass
 
 
 class ServeExecutor(RemoteExecutor):
@@ -91,15 +86,3 @@ class ServeExecutor(RemoteExecutor):
     def __repr__(self) -> str:
         return (f"<ServeExecutor gateway={self.gateway} "
                 f"store={self.store.root} concurrency={self.concurrency}>")
-
-
-def _make_serve(gateway=None, store=None, workers=None, concurrency=4,
-                user=None, **_):
-    if not gateway:
-        raise ValueError("the serve executor needs gateway= (the HOST:PORT "
-                         "of a `python -m repro serve` gateway)")
-    return ServeExecutor(gateway, store=store, workers=workers,
-                         concurrency=concurrency, user=user)
-
-
-register_executor("serve", _make_serve)

@@ -34,7 +34,6 @@ from repro.api.executors.base import (
     BootInfo,
     JobTemplate,
     portable_fixtures,
-    register_executor,
 )
 from repro.api.executors.process import ProcessExecutor, _store_worker_init
 from repro.kernel.store import SnapshotStore
@@ -240,7 +239,3 @@ class StoreExecutor(StoreBootMixin, ProcessExecutor):
 
     def __repr__(self) -> str:
         return f"<StoreExecutor workers={self.workers} store={self.store.root}>"
-
-
-register_executor("store", lambda workers=None, store=None, **_:
-                  StoreExecutor(store=store, workers=workers))

@@ -86,7 +86,7 @@ class RunResult:
     * ``value`` — the run's language-level result, when there is one;
     * ``traceback`` — for failed batch jobs, the full host traceback of
       the error that failed the run (diagnostic only: its frames name
-      whichever backend ran the job, so it is excluded from
+      whichever executor ran the job, so it is excluded from
       :meth:`fingerprint` the same way wall-clock timings are);
     * ``footprint`` — the statically inferred capability footprint
       (:class:`repro.analysis.Footprint`), attached when the batch ran
@@ -131,11 +131,11 @@ class RunResult:
 
     def __reduce__(self):
         """Results cross process boundaries (the batch engine's process
-        backend ships them home), and the frozen ``profile``/``ops``
+        executor ships them home), and the frozen ``profile``/``ops``
         mapping proxies do not pickle — reduce to plain data and re-freeze
         on load.  Fields are enumerated via :func:`dataclasses.fields`
         so a future field cannot be silently dropped in transit (which
-        would break fingerprint identity on the process backend only)."""
+        would break fingerprint identity on the process executor only)."""
         state = {f.name: getattr(self, f.name) for f in fields(self)}
         state["profile"] = dict(state["profile"])
         state["ops"] = dict(state["ops"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import pathlib
 import time
-import warnings
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.api.registry import ScriptRegistry
@@ -24,23 +23,6 @@ if TYPE_CHECKING:
     from repro.api.sandboxes import Sandbox
     from repro.api.worlds import World
     from repro.kernel.kernel import Kernel
-
-
-def deprecated_runtime_property(hint: str = "``.run`` / ``.session``") -> property:
-    """Shared shim for classes holding a ``session``: expose the engine
-    as ``.runtime`` for pre-façade callers, with a DeprecationWarning."""
-
-    def _get(self) -> ShillRuntime:
-        warnings.warn(
-            "the .runtime property is a deprecated alias for the internal "
-            f"engine; use {hint} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.session.runtime
-
-    _get.__doc__ = f"Deprecated: the internal engine (use {hint})."
-    return property(_get)
 
 
 class Session:

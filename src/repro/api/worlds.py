@@ -467,21 +467,11 @@ class World:
         world._boot_epoch = kernel.state_epoch
         return world
 
-    def pool(self, workers: int = 4, backend: str = "thread",
-             executor: "Executor | None" = None) -> "WorldPool":
+    def pool(self, workers: int = 4) -> "WorldPool":
         """``workers`` independent forks of this world, for long-lived
         parallel sessions (the batch runner forks per job instead).
-
-        ``backend`` picks where :meth:`WorldPool.map` runs its workers:
-        ``"sequential"``, ``"thread"`` (default), ``"process"``, or
-        ``"store"`` — the last two ship a kernel snapshot to worker
-        processes, so the mapped function must be a picklable
-        (module-level) callable and its return value must pickle too.
-        ``executor`` supplies an :class:`repro.api.executors.Executor`
-        instance instead of a backend string (the caller keeps ownership
-        and closes it).
-        """
-        return WorldPool(self, workers, backend=backend, executor=executor)
+        Where :meth:`WorldPool.map` runs is chosen per call."""
+        return WorldPool(self, workers)
 
     # -- handles over the booted world -------------------------------------
 
@@ -589,56 +579,21 @@ class WorldPool:
     """``workers`` forked worlds over one base image.
 
     Each worker world has its own kernel, so sessions on different
-    workers can run in parallel without sharing any mutable state.
-    :meth:`map` is the convenience driver; index or iterate the pool to
-    own the scheduling yourself.  The ``backend``/``executor`` chosen at
-    construction is where ``map`` runs; process-family executors
-    snapshot the base kernel to worker processes, so mapped functions
-    (and their results) must pickle.
+    workers can run in parallel without sharing any mutable state.  The
+    forks are taken at construction, so later writes to the base world
+    never reach them.  :meth:`map` is the convenience driver; index or
+    iterate the pool to own the scheduling yourself.
     """
 
-    def __init__(self, base: World, workers: int = 4,
-                 backend: str = "thread",
-                 executor: "Executor | None" = None) -> None:
-        from repro.api.executors import EXECUTOR_CHOICES
-
+    def __init__(self, base: World, workers: int = 4) -> None:
         if workers < 1:
             raise ValueError("a pool needs at least one worker")
-        if executor is not None:
-            backend = executor.name
-        elif backend not in EXECUTOR_CHOICES:
-            raise ValueError(
-                f"unknown backend {backend!r}; choices: {', '.join(EXECUTOR_CHOICES)}")
         base.boot()
         self.base = base
-        self.backend = backend
-        self.executor = executor
-        self._workers = workers
-        # Legacy in-process pools (sequential/thread *strings*) fork
-        # their persistent worker worlds *now* (so later base mutations
-        # never leak into workers — the pool snapshots at construction).
-        # Executor-backed pools — any instance, or the process/store
-        # strings — defer: map() forks per call (inside worker processes
-        # for the process family) and would never touch these.
-        self._worlds: list[World] | None = (
-            None if executor is not None or backend in ("process", "store")
-            else [base.fork() for _ in range(workers)])
-
-    @property
-    def worlds(self) -> list[World]:
-        """The pool's persistent in-process worker worlds.
-
-        For process-family pools these are forked lazily on first
-        access (indexing/iterating one still works), and therefore see
-        the base world *as of that first access*, not as of ``pool()``
-        — process maps don't use them, so an access is an explicit
-        opt-in to in-process worlds."""
-        if self._worlds is None:
-            self._worlds = [self.base.fork() for _ in range(self._workers)]
-        return self._worlds
+        self.worlds: list[World] = [base.fork() for _ in range(workers)]
 
     def __len__(self) -> int:
-        return self._workers
+        return len(self.worlds)
 
     def __iter__(self) -> Iterator[World]:
         return iter(self.worlds)
@@ -646,69 +601,35 @@ class WorldPool:
     def __getitem__(self, index: int) -> World:
         return self.worlds[index]
 
-    def map(self, fn: Callable[[World], Any], *, parallel: bool | None = None,
-            backend: str | None = None,
+    def map(self, fn: Callable[[World], Any], *,
             executor: "Executor | None" = None) -> list[Any]:
         """Run ``fn(world)`` once per worker; results in worker order.
 
-        ``backend``/``executor`` override the pool's default for this
-        call; ``parallel`` is the pre-backend boolean spelling
-        (``False`` → sequential, ``True`` → the pool's parallel
-        backend) and is kept for compatibility.
-
-        Statefulness differs by path: the legacy ``"sequential"`` /
-        ``"thread"`` *strings* run against the pool's persistent worker
-        worlds, so writes made by one ``map`` call are visible to the
-        next; every :class:`~repro.api.executors.Executor` *instance*
-        (and the ``"process"``/``"store"`` strings) follows the executor
-        protocol instead — each call runs on a fresh fork and keeps
-        nothing, failures surface as
+        With no ``executor``, ``fn`` runs on a thread pool against the
+        pool's own worker worlds, so writes made by one ``map`` call are
+        visible to the next.  An :class:`~repro.api.executors.Executor`
+        instance (the caller keeps ownership and closes it) follows the
+        executor protocol instead: each call runs on a fresh fork of
+        the base world and keeps nothing, failures surface as
         :class:`repro.api.BatchExecutionError`, and anything a mapped
-        function wants to keep must be in its return value.  Use
+        function wants to keep must be in its return value.  Process-
+        family executors ship a snapshot to worker processes, so there
+        ``fn`` (and its result) must pickle.  Use
         :class:`repro.api.Batch` for a per-job-fork contract identical
         on every executor.
         """
-        if executor is not None and (backend is not None or parallel is not None):
-            raise ValueError("pass either executor= or the legacy "
-                             "backend=/parallel= spelling, not both")
         if executor is None:
-            if backend is None:
-                backend = self.backend
-                executor = self.executor
-                if parallel is False:
-                    backend, executor = "sequential", None
-        else:
-            backend = executor.name
-        if executor is None and backend == "sequential":
-            return [fn(world) for world in self.worlds]
-        if executor is None and backend == "thread":
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=len(self.worlds)) as pool:
                 return list(pool.map(fn, self.worlds))
-        return self._map_executor(fn, backend, executor)
+        from repro.api.executors import ExecutorJob, JobTemplate
 
-    def _map_executor(self, fn: Callable[[World], Any], backend: str,
-                      executor: "Executor | None") -> list[Any]:
-        """Fan ``fn`` out as callable jobs on an executor — the
-        process-family path (workers restore a snapshot and fork per
-        call).  String-resolved executors are owned by this call and
-        closed; supplied instances stay open for the caller."""
-        from repro.api.executors import ExecutorJob, JobTemplate, create_executor
-
-        owned = executor is None
-        chosen = executor if executor is not None else \
-            create_executor(backend, workers=self._workers)
-        try:
-            chosen.bind(JobTemplate.for_world(self.base))
-            return chosen.map([
-                ExecutorJob(index=index, name=f"map{index}", fn=fn)
-                for index in range(self._workers)
-            ])
-        finally:
-            if owned:
-                chosen.close()
+        executor.bind(JobTemplate.for_world(self.base))
+        return executor.map([
+            ExecutorJob(index=index, name=f"map{index}", fn=fn)
+            for index in range(len(self.worlds))
+        ])
 
     def __repr__(self) -> str:
-        return (f"<WorldPool workers={self._workers} "
-                f"backend={self.backend!r} base={self.base!r}>")
+        return f"<WorldPool workers={len(self.worlds)} base={self.base!r}>"

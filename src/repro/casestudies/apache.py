@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import RunResult, Session, World, as_kernel
-from repro.api.sessions import deprecated_runtime_property
 from repro.casestudies.probes import make_probe_batch
 from repro.kernel.kernel import Kernel
 from repro.kernel.sockets import AddressFamily, SocketType
@@ -89,8 +88,6 @@ class ApacheBenchResult:
     run: RunResult
     responses: list[bytes]
     log_text: str
-
-    runtime = deprecated_runtime_property()
 
 
 def apache_bench(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import RunResult, Session, World, as_kernel
-from repro.api.sessions import deprecated_runtime_property
 from repro.casestudies.probes import make_probe_batch
 from repro.kernel.kernel import Kernel
 
@@ -158,8 +157,6 @@ class FindResult:
     @property
     def matches(self) -> list[str]:
         return [line for line in self.output.splitlines() if line]
-
-    runtime = deprecated_runtime_property()
 
 
 def _prepare_out(kernel: Kernel, user: str, out_path: str) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import RunResult, Session, World, as_kernel
-from repro.api.sessions import deprecated_runtime_property
 from repro.casestudies.probes import make_probe_batch
 from repro.kernel.kernel import Kernel
 
@@ -228,8 +227,6 @@ class GradingResult:
     session: Session
     run: RunResult
     grades: dict[str, str]
-
-    runtime = deprecated_runtime_property()
 
 
 def _collect_grades(kernel: Kernel, grades_dir: str) -> dict[str, str]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api import Session, World, as_kernel
-from repro.api.sessions import deprecated_runtime_property
 from repro.casestudies.probes import make_probe_batch
 from repro.kernel.kernel import Kernel
 
@@ -168,8 +167,6 @@ class PackageManager:
         self.exports = self.session.load_cap("emacs_pkg.cap", importer="emacs.ambient")
         for path in (self.downloads, self.prefix):
             self._mkdirs(path)
-
-    runtime = deprecated_runtime_property(hint="``.session``")
 
     def _mkdirs(self, path: str) -> None:
         from repro.world.image import WorldBuilder

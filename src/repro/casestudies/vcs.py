@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import RunResult, Session, World, as_kernel
-from repro.api.sessions import deprecated_runtime_property
 from repro.casestudies.probes import make_probe_batch
 from repro.kernel.kernel import Kernel
 
@@ -175,8 +174,6 @@ class VcsResult:
     session: Session
     run: RunResult
     output: str
-
-    runtime = deprecated_runtime_property()
 
 
 def _run(world: "World | Kernel", source: str, name: str, user: str) -> VcsResult:

@@ -9,16 +9,14 @@ start from identical world state, never from each other's leftovers.
 from __future__ import annotations
 
 import json
+import tempfile
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError, SysError
 
 if TYPE_CHECKING:
-    from repro.api import RunResult
+    from repro.api import Executor, RunResult
     from repro.fuzz.scenarios import Scenario
-
-#: Executors whose result fingerprints must be byte-identical.
-EQUIVALENCE_BACKENDS = ("sequential", "thread", "store")
 
 #: A second, fixed batch job so the threaded/store executors always have
 #: parallel work to schedule alongside the generated script.
@@ -134,7 +132,7 @@ def check_denials_audited(scenario: "Scenario") -> None:
 # ---------------------------------------------------------------------------
 
 
-def _batch_outcome(scenario: "Scenario", backend: str):
+def _batch_outcome(scenario: "Scenario", executor: "Executor"):
     """The batch's result fingerprints under one executor — or, for a
     crashed batch, the error's shape (which must also be identical)."""
     from repro.api import Batch
@@ -144,7 +142,7 @@ def _batch_outcome(scenario: "Scenario", backend: str):
              .add(scenario.ambient_script(), name="fuzz.ambient")
              .add(_PROBE, name="probe.ambient"))
     try:
-        return tuple(result.fingerprint() for result in batch.run(backend=backend))
+        return tuple(result.fingerprint() for result in batch.run(executor=executor))
     except ReproError as err:
         return ("error", type(err).__name__, str(err).splitlines()[0] if str(err) else "")
 
@@ -152,16 +150,21 @@ def _batch_outcome(scenario: "Scenario", backend: str):
 def check_executor_equivalence(scenario: "Scenario") -> None:
     """One generated batch produces byte-identical result fingerprints on
     the sequential, thread, and snapshot-store executors."""
-    outcomes = {backend: _batch_outcome(scenario, backend)
-                for backend in EQUIVALENCE_BACKENDS}
-    baseline = outcomes[EQUIVALENCE_BACKENDS[0]]
-    for backend, outcome in outcomes.items():
-        if outcome != baseline:
-            raise InvariantViolation(
-                "executor-equivalence",
-                f"{backend!r} outcome diverged from "
-                f"{EQUIVALENCE_BACKENDS[0]!r}: {outcome!r} != {baseline!r}",
-                scenario)
+    from repro.api import SequentialExecutor, StoreExecutor, ThreadExecutor
+
+    # The store executor gets a store of its own, removed afterwards: the
+    # default store root is the user's cache, which fuzzing must not fill.
+    with tempfile.TemporaryDirectory() as store, SequentialExecutor() as baseline, \
+            ThreadExecutor() as thread, StoreExecutor(store=store) as on_disk:
+        expected = _batch_outcome(scenario, baseline)
+        for executor in (thread, on_disk):
+            outcome = _batch_outcome(scenario, executor)
+            if outcome != expected:
+                raise InvariantViolation(
+                    "executor-equivalence",
+                    f"{executor.name!r} outcome diverged from "
+                    f"{baseline.name!r}: {outcome!r} != {expected!r}",
+                    scenario)
 
 
 # ---------------------------------------------------------------------------

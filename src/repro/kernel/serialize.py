@@ -30,13 +30,13 @@ build steps, same run history) produce byte-identical snapshots: every
 container in the state graph is either insertion-ordered (dicts, lists)
 or explicitly ordered by the hooks, and wall-clock fields
 (``boot_time``) are excluded.  ``snapshot_digest`` exposes that property
-as a hash — the process backend's determinism tests gate on it.  (A
+as a hash — the process executor's determinism tests gate on it.  (A
 machine and its *restore* are behaviourally identical but may snapshot
 to different bytes once — restoring normalises pickle's identity-based
 string sharing — after which re-snapshotting is a fixed point.)
 
 **What does not cross** (same list as :meth:`Kernel.fork`, documented
-in README "Choosing a batch backend"): live processes, open sockets and
+in docs/determinism.md): live processes, open sockets and
 listeners, and entered sandbox sessions.  Snapshots, like forks, are
 taken *between* runs, when none of that state is load-bearing.
 """

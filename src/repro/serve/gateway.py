@@ -83,6 +83,10 @@ from repro.remote.wire import (
     template_key,
 )
 
+#: Threads that run agent dispatch on sync links; the pool's per-host
+#: slots, not this width, enforce the per-agent concurrency cap.
+DISPATCH_WORKERS = 16
+
 
 class Gateway:
     """The serving half of one ``repro serve`` process.
@@ -109,7 +113,6 @@ class Gateway:
                  burst: "float | None" = None,
                  max_pending: int = 256,
                  request_log: "Path | str | None" = None,
-                 dispatch_workers: int = 16,
                  result_cache: int = 1024) -> None:
         from repro.api.caching import BoundedCache
         from repro.serve.admission import AdmissionController
@@ -126,9 +129,7 @@ class Gateway:
         #: that miss, so both hops compute the same template identity.
         self._templates: "dict[str, WireTemplate]" = {}
         self._templates_lock = threading.Lock()
-        # Agent dispatch runs on sync links in a thread pool; the pool's
-        # per-host slots enforce the per-agent concurrency cap.
-        self._dispatch = ThreadPoolExecutor(max_workers=dispatch_workers,
+        self._dispatch = ThreadPoolExecutor(max_workers=DISPATCH_WORKERS,
                                             thread_name_prefix="gateway-dispatch")
         # The per-user result cache: (requester, template, user, source)
         # -> the RESULT frame verbatim.  Jobs on one template are

@@ -125,7 +125,7 @@ def test_batch_validates_lint_mode():
         Batch(World(), lint="yes please")
 
 
-def test_strict_rejection_is_byte_identical_across_executors():
+def test_strict_rejection_is_byte_identical_across_executors(tmp_path):
     def attempt(executor):
         try:
             doomed_batch().run(executor=executor)
@@ -136,7 +136,7 @@ def test_strict_rejection_is_byte_identical_across_executors():
     # The remote executor points at an unreachable address: the gate
     # fires before any connection (or fork) is attempted.
     local = attempt(SequentialExecutor())
-    remote = attempt(RemoteExecutor(hosts=["127.0.0.1:1"]))
+    remote = attempt(RemoteExecutor(hosts=["127.0.0.1:1"], store=tmp_path / "coord"))
     assert local == remote
     assert "SH002" in local[0]
 

@@ -6,7 +6,10 @@ import pytest
 
 from repro.api import (
     Batch,
+    ProcessExecutor,
     ScriptRegistry,
+    SequentialExecutor,
+    ThreadExecutor,
     World,
     clear_result_cache,
     result_cache_size,
@@ -119,12 +122,13 @@ class TestBatchBasics:
         assert good.ok and good2.ok
         assert failed.status == 1 and "SysError" in failed.stderr
         # ...and failures are deterministic like any other result
-        parallel = (
-            Batch(_jpeg_world(), cache=False)
-            .add(WALK_AMBIENT, name="good").add(bad, name="bad")
-            .add(WALK_AMBIENT, name="good2")
-            .run(parallel=True, workers=3)
-        )
+        with ThreadExecutor(workers=3) as executor:
+            parallel = (
+                Batch(_jpeg_world(), cache=False)
+                .add(WALK_AMBIENT, name="good").add(bad, name="bad")
+                .add(WALK_AMBIENT, name="good2")
+                .run(executor=executor)
+            )
         assert [r.fingerprint() for r in parallel] == \
             [r.fingerprint() for r in (good, failed, good2)]
 
@@ -142,27 +146,28 @@ class TestBatchBasics:
 
 
 class TestDeterminism:
-    def _results(self, parallel: bool):
+    def _results(self, threaded: bool):
         registry = ScriptRegistry().add("find_jpg.cap", FIND_JPG_CAP)
         batch = Batch(_jpeg_world(), scripts=registry, cache=False)
         for i in range(8):
             batch.add(FIND_JPG_AMBIENT, user="alice", name=f"find{i}")
             batch.add(WALK_AMBIENT, user="alice", name=f"walk{i}")
-        return batch.run(parallel=parallel, workers=4)
+        with ThreadExecutor(workers=4) if threaded else SequentialExecutor() as executor:
+            return batch.run(executor=executor)
 
     def test_parallel_matches_sequential_byte_for_byte(self):
         clear_result_cache()
-        sequential = self._results(parallel=False)
+        sequential = self._results(threaded=False)
         clear_result_cache()
-        parallel = self._results(parallel=True)
+        parallel = self._results(threaded=True)
         assert [r.fingerprint() for r in parallel] == \
             [r.fingerprint() for r in sequential]
 
     def test_repeat_runs_are_identical(self):
         clear_result_cache()
-        first = self._results(parallel=False)
+        first = self._results(threaded=False)
         clear_result_cache()
-        second = self._results(parallel=False)
+        second = self._results(threaded=False)
         assert [r.fingerprint() for r in first] == \
             [r.fingerprint() for r in second]
 
@@ -301,13 +306,15 @@ class TestDependencyAwareCache:
     def test_verdicts_identical_across_executors(self):
         fingerprints = {}
         verdicts = {}
-        for name in ("sequential", "thread", "process"):
+        for executor in (SequentialExecutor(), ThreadExecutor(), ProcessExecutor()):
+            name = executor.name
             clear_result_cache()
             world = _jpeg_world()
-            Batch(world).add(WALK_AMBIENT, name="walk").run(backend=name)
-            world.patch_file("/tmp/unrelated.txt", b"disjoint mutation")
-            batch = Batch(world).add(WALK_AMBIENT, name="walk")
-            [result] = batch.run(backend=name)
+            with executor:
+                Batch(world).add(WALK_AMBIENT, name="walk").run(executor=executor)
+                world.patch_file("/tmp/unrelated.txt", b"disjoint mutation")
+                batch = Batch(world).add(WALK_AMBIENT, name="walk")
+                [result] = batch.run(executor=executor)
             verdicts[name] = batch.verdicts[0]
             fingerprints[name] = result.fingerprint()
         assert set(verdicts.values()) == {"hit"}

@@ -1,12 +1,12 @@
-"""The process backend: GIL-free batches with byte-identical results.
+"""The process executor: GIL-free batches with byte-identical results.
 
-``Batch(backend="process")`` pickles the booted template once, fans the
-(script, user) jobs out to worker processes that restore-and-fork
-locally, and merges frozen results home in submission order.  These
-tests pin the contract: fingerprints identical to the sequential
-backend for every case-study world, result caching and op counters
-working across the process boundary, and typed errors that name the
-failing job.
+``Batch(...).run(executor=ProcessExecutor())`` pickles the booted
+template once, fans the (script, user) jobs out to worker processes that
+restore-and-fork locally, and merges frozen results home in submission
+order.  These tests pin the contract: fingerprints identical to the
+sequential executor for every case-study world, result caching and op
+counters working across the process boundary, and typed errors that
+name the failing job.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ import pytest
 from repro.api import (
     Batch,
     BatchExecutionError,
+    ProcessExecutor,
     RunResult,
     ScriptRegistry,
+    SequentialExecutor,
+    ThreadExecutor,
     World,
     clear_result_cache,
 )
@@ -72,6 +75,12 @@ def _jpeg_world() -> World:
     return World().for_user("alice").with_jpeg_samples()
 
 
+def _run_on(executor, batch: Batch) -> list[RunResult]:
+    """``batch`` on an executor this call owns and closes."""
+    with executor:
+        return batch.run(executor=executor)
+
+
 class TestProcessBackendDeterminism:
     @pytest.mark.parametrize("name", sorted(CASE_STUDY_BATCHES))
     def test_process_matches_sequential_for_case_study_worlds(self, name):
@@ -79,12 +88,12 @@ class TestProcessBackendDeterminism:
         all four case-study worlds."""
         build = CASE_STUDY_BATCHES[name]
 
-        def run(backend):
+        def run(executor):
             clear_result_cache()
-            return build().run(backend=backend, workers=2)
+            return _run_on(executor, build())
 
-        sequential = run("sequential")
-        process = run("process")
+        sequential = run(SequentialExecutor())
+        process = run(ProcessExecutor(workers=2))
         assert all(r.ok for r in sequential), sequential[0].stderr
         assert [r.fingerprint() for r in process] == \
             [r.fingerprint() for r in sequential]
@@ -92,32 +101,31 @@ class TestProcessBackendDeterminism:
     def test_all_three_backends_agree_with_scripts(self):
         registry = ScriptRegistry().add("find_jpg.cap", FIND_JPG_CAP)
 
-        def run(backend):
+        def run(executor):
             clear_result_cache()
             batch = Batch(_jpeg_world(), scripts=registry, cache=False)
             for i in range(4):
                 batch.add(FIND_JPG_AMBIENT, name=f"find{i}")
                 batch.add(WALK_AMBIENT, name=f"walk{i}")
-            return batch.run(backend=backend, workers=2)
+            return _run_on(executor, batch)
 
-        sequential = run("sequential")
-        for backend in ("thread", "process"):
-            assert [r.fingerprint() for r in run(backend)] == \
-                [r.fingerprint() for r in sequential], backend
+        sequential = run(SequentialExecutor())
+        for executor in (ThreadExecutor(workers=2), ProcessExecutor(workers=2)):
+            assert [r.fingerprint() for r in run(executor)] == \
+                [r.fingerprint() for r in sequential], executor.name
         assert "dog.jpg" in sequential[0].stdout
 
     def test_failed_jobs_are_deterministic_across_the_boundary(self):
         bad = '#lang shill/ambient\nx = open_file("/does/not/exist");\n'
 
-        def run(backend):
+        def run(executor):
             clear_result_cache()
-            return (Batch(_jpeg_world(), cache=False)
-                    .add(WALK_AMBIENT, name="good")
-                    .add(bad, name="bad")
-                    .run(backend=backend))
+            return _run_on(executor, Batch(_jpeg_world(), cache=False)
+                           .add(WALK_AMBIENT, name="good")
+                           .add(bad, name="bad"))
 
-        good_s, bad_s = run("sequential")
-        good_p, bad_p = run("process")
+        good_s, bad_s = run(SequentialExecutor())
+        good_p, bad_p = run(ProcessExecutor())
         assert bad_s.status == 1 and "SysError" in bad_s.stderr
         assert bad_p.fingerprint() == bad_s.fingerprint()
         assert good_p.fingerprint() == good_s.fingerprint()
@@ -126,10 +134,9 @@ class TestProcessBackendDeterminism:
         assert "SysError" in bad_p.traceback
 
     def test_unknown_user_fails_that_job_alone(self):
-        results = (Batch(_jpeg_world(), cache=False)
-                   .add(WALK_AMBIENT, user="alice")
-                   .add(WALK_AMBIENT, user="nosuchuser")
-                   .run(backend="process"))
+        results = _run_on(ProcessExecutor(), Batch(_jpeg_world(), cache=False)
+                          .add(WALK_AMBIENT, user="alice")
+                          .add(WALK_AMBIENT, user="nosuchuser"))
         assert results[0].ok
         assert results[1].status == 1 and "no such user" in results[1].stderr
 
@@ -141,27 +148,23 @@ class TestProcessBackendCache:
         batch = Batch(_jpeg_world())
         for i in range(5):
             batch.add(WALK_AMBIENT, name=f"j{i}")
-        batch.run(backend="process", workers=2)
+        _run_on(ProcessExecutor(workers=2), batch)
         assert batch.stats == {"jobs": 5, "cache_hits": 4, "forks": 1}
 
         second = Batch(_jpeg_world()).add(WALK_AMBIENT)
-        second.run(backend="process")
+        _run_on(ProcessExecutor(), second)
         assert second.stats == {"jobs": 1, "cache_hits": 1, "forks": 0}
 
     def test_sequential_results_serve_process_runs_and_vice_versa(self):
         first = Batch(_jpeg_world()).add(WALK_AMBIENT)
-        [r1] = first.run(backend="sequential")
+        [r1] = first.run(executor=SequentialExecutor())
         second = Batch(_jpeg_world()).add(WALK_AMBIENT)
-        [r2] = second.run(backend="process")
+        [r2] = _run_on(ProcessExecutor(), second)
         assert second.stats["cache_hits"] == 1
         assert r2.fingerprint() == r1.fingerprint()
 
 
 class TestBatchErrors:
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            Batch(_jpeg_world()).add(WALK_AMBIENT).run(backend="gpu")
-
     def test_engine_error_raises_typed_batch_error(self, monkeypatch):
         """A non-ReproError out of the engine is not a script result: it
         re-raises as BatchExecutionError naming the (script, user) job."""
@@ -173,7 +176,7 @@ class TestBatchErrors:
         monkeypatch.setattr(sessions.Session, "run_ambient", explode)
         batch = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT, name="boom")
         with pytest.raises(BatchExecutionError) as excinfo:
-            batch.run(backend="sequential")
+            batch.run(executor=SequentialExecutor())
         err = excinfo.value
         assert err.job_name == "boom"
         assert err.user == "alice"
@@ -191,7 +194,7 @@ class TestBatchErrors:
         monkeypatch.setattr(sessions.Session, "run_ambient", explode)
         batch = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT, name="boom")
         with pytest.raises(BatchExecutionError) as excinfo:
-            batch.run(backend="process")
+            _run_on(ProcessExecutor(), batch)
         assert excinfo.value.job_name == "boom"
         assert "RuntimeError: engine bug in worker" in excinfo.value.traceback_text
 
@@ -229,24 +232,25 @@ class TestRunResultPickling:
 class TestWorldPoolBackends:
     def test_pool_process_map_runs_module_level_functions(self):
         world = _jpeg_world()
-        results = world.pool(workers=2, backend="process").map(_count_docs)
+        with ProcessExecutor(workers=2) as executor:
+            results = world.pool(workers=2).map(_count_docs, executor=executor)
         assert results == [2, 2]
 
     def test_pool_map_backend_override_and_compat(self):
-        world = _jpeg_world()
-        pool = world.pool(workers=2)
-        assert pool.map(_count_docs) == [2, 2]                     # thread
-        assert pool.map(_count_docs, parallel=False) == [2, 2]     # sequential
-        assert pool.map(_count_docs, backend="process") == [2, 2]
-
-    def test_pool_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            _jpeg_world().pool(backend="gpu")
+        """With no executor a map runs on threads over the pool's own
+        forks; an executor passed to one call is used for that call."""
+        pool = _jpeg_world().pool(workers=2)
+        assert pool.map(_count_docs) == [2, 2]
+        with SequentialExecutor() as executor:
+            assert pool.map(_count_docs, executor=executor) == [2, 2]
+        with ProcessExecutor(workers=2) as executor:
+            assert pool.map(_count_docs, executor=executor) == [2, 2]
 
     def test_pool_process_forks_are_isolated_from_base(self):
         world = _jpeg_world()
         world.boot()
-        world.pool(workers=2, backend="process").map(_scribble)
+        with ProcessExecutor(workers=2) as executor:
+            world.pool(workers=2).map(_scribble, executor=executor)
         assert world.read_file("/home/alice/Documents/notes.txt") == b"not a jpeg"
 
 

@@ -27,10 +27,9 @@ from repro.api import (
     World,
     clear_boot_cache,
     clear_result_cache,
-    resolve_executor,
     result_cache_size,
 )
-from repro.api.executors import EXECUTOR_CHOICES, ExecutorJob, JobTemplate
+from repro.api.executors import ExecutorJob, JobTemplate
 
 WALK_AMBIENT = """\
 #lang shill/ambient
@@ -85,27 +84,6 @@ def _executors(tmp_path):
 
 
 class TestProtocol:
-    def test_resolve_executor_names(self):
-        for name in ("sequential", "thread", "process"):
-            assert resolve_executor(name).name == name
-        assert "store" in EXECUTOR_CHOICES
-
-    def test_resolve_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_executor("gpu")
-
-    def test_run_rejects_executor_plus_legacy_spelling(self):
-        batch = Batch(_jpeg_world()).add(WALK_AMBIENT)
-        with pytest.raises(ValueError, match="not both"):
-            batch.run(executor=SequentialExecutor(), backend="thread")
-        with pytest.raises(ValueError, match="executor's to own"):
-            batch.run(executor=SequentialExecutor(), workers=2)
-
-    def test_parallel_boolean_is_deprecated(self):
-        batch = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            batch.run(parallel=True)
-
     def test_submit_requires_bind(self):
         with pytest.raises(RuntimeError, match="not bound"):
             SequentialExecutor().submit(
@@ -154,11 +132,9 @@ class TestEquivalence:
             assert [r.fingerprint() for r in run(executor)] == \
                 [r.fingerprint() for r in baseline], name
 
-    def test_backend_store_string_resolves(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "envstore"))
-        [result] = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT).run(backend="store")
-        assert result.ok
-        assert (tmp_path / "envstore" / "blobs").exists()
+
+LOCAL_EXECUTORS = (SequentialExecutor, ThreadExecutor, ProcessExecutor)
+LOCAL_IDS = [make.name for make in LOCAL_EXECUTORS]
 
 
 class TestStreaming:
@@ -168,10 +144,11 @@ class TestStreaming:
             batch.add(HELLO_AMBIENT if i % 2 else WALK_AMBIENT, name=f"j{i}")
         return batch
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
-    def test_stream_matches_run_in_submission_order(self, backend):
-        expected = [r.fingerprint() for r in self._batch().run(backend=backend)]
-        streamed = list(self._batch().stream(backend=backend, workers=2))
+    @pytest.mark.parametrize("make", LOCAL_EXECUTORS, ids=LOCAL_IDS)
+    def test_stream_matches_run_in_submission_order(self, make):
+        with make(workers=2) as executor:
+            expected = [r.fingerprint() for r in self._batch().run(executor=executor)]
+            streamed = list(self._batch().stream(executor=executor))
         assert [r.fingerprint() for r in streamed] == expected
 
     def test_stream_is_an_iterator_not_a_list(self):
@@ -182,10 +159,11 @@ class TestStreaming:
         rest = list(stream)
         assert len(rest) == 3
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
-    def test_as_completed_yields_every_job_with_attribution(self, backend):
+    @pytest.mark.parametrize("make", LOCAL_EXECUTORS, ids=LOCAL_IDS)
+    def test_as_completed_yields_every_job_with_attribution(self, make):
         batch = self._batch()
-        pairs = list(batch.as_completed(backend=backend, workers=2))
+        with make(workers=2) as executor:
+            pairs = list(batch.as_completed(executor=executor))
         assert {job.name for job, _result in pairs} == {f"j{i}" for i in range(4)}
         by_name = {job.name: result for job, result in pairs}
         expected = self._batch().run()
@@ -246,8 +224,9 @@ class TestFailureSurfacing:
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="relies on fork-start workers inheriting the patch")
     def test_stream_propagates_worker_engine_error(self, _exploding_session):
-        with pytest.raises(BatchExecutionError) as excinfo:
-            list(self._batch().stream(backend="process", workers=2))
+        with pytest.raises(BatchExecutionError) as excinfo, \
+                ProcessExecutor(workers=2) as executor:
+            list(self._batch().stream(executor=executor))
         assert excinfo.value.job_name == "boom"
         assert "RuntimeError: engine bug" in excinfo.value.traceback_text
 
@@ -441,21 +420,11 @@ class TestExecutorReuse:
             results = world.pool(workers=2).map(_count_docs, executor=executor)
         assert results == [2, 2]
 
-    def test_pool_accepts_store_backend_string(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "envstore"))
-        results = _jpeg_world().pool(workers=2, backend="store").map(_count_docs)
-        assert results == [2, 2]
-
     def test_pool_map_process_failures_are_typed(self):
-        world = _jpeg_world()
-        with pytest.raises(BatchExecutionError, match="map0"):
-            world.pool(workers=1, backend="process").map(_boom)
-
-    def test_pool_map_rejects_executor_plus_backend(self):
         pool = _jpeg_world().pool(workers=1)
-        with pytest.raises(ValueError, match="not both"):
-            pool.map(_count_docs, backend="thread",
-                     executor=SequentialExecutor())
+        with pytest.raises(BatchExecutionError, match="map0"), \
+                ProcessExecutor(workers=1) as executor:
+            pool.map(_boom, executor=executor)
 
     def test_shared_executor_batches_do_not_swallow_each_other(self):
         """Regression: Batch drains exactly its own handles, so a
@@ -500,6 +469,45 @@ class TestExecutorReuse:
                                                  fn=_raise_timeout))
             with pytest.raises(BatchExecutionError, match="timeouty"):
                 handle.result()
+
+    def test_concurrent_first_submits_build_one_thread_pool(self, monkeypatch):
+        """Regression: owners may share an executor across threads, so
+        first submits that race must build one pool — close() shuts down
+        only the pool it holds, and any other would keep running."""
+        import threading
+        import time
+
+        from repro.api.executors import local
+
+        built = []
+
+        class SlowPool(local.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.05)   # widen the check-then-create window
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(local, "ThreadPoolExecutor", SlowPool)
+        executor = ThreadExecutor(workers=2)
+        executor.bind(JobTemplate.for_world(_jpeg_world().boot()))
+        barrier = threading.Barrier(4, timeout=10)
+        handles = []
+
+        def first_submit(index):
+            barrier.wait()
+            handles.append(executor.submit(ExecutorJob(
+                index=index, name=f"j{index}", source=HELLO_AMBIENT)))
+
+        threads = [threading.Thread(target=first_submit, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [h.result(timeout=10).stdout for h in handles] == ["hello\n"] * 4
+        executor.close()
+        assert len(built) == 1
+        assert all(pool._shutdown for pool in built)
 
 
 def _count_docs(world: World) -> int:

@@ -1,4 +1,4 @@
-"""Deprecation shims: the engine stays importable where it always was."""
+"""The engine stays importable from its internal modules, and only there."""
 
 from __future__ import annotations
 
@@ -21,20 +21,12 @@ def test_api_session_wraps_the_same_engine():
     assert isinstance(session.runtime, ShillRuntime)
 
 
-def test_repro_api_shillruntime_alias_warns():
+@pytest.mark.parametrize("name", ["ShillRuntime", "build_world"])
+def test_repro_api_does_not_reexport_the_engine(name):
     import repro.api as api
-    from repro.lang.runner import ShillRuntime
 
-    with pytest.warns(DeprecationWarning, match="deprecated alias"):
-        assert api.ShillRuntime is ShillRuntime
-
-
-def test_repro_api_build_world_alias_warns():
-    import repro.api as api
-    from repro.world import build_world
-
-    with pytest.warns(DeprecationWarning, match="deprecated alias"):
-        assert api.build_world is build_world
+    with pytest.raises(AttributeError):
+        getattr(api, name)
 
 
 def test_top_level_reexports():
@@ -45,16 +37,3 @@ def test_top_level_reexports():
     assert repro.RunResult is repro.api.RunResult
     with pytest.raises(AttributeError):
         repro.NoSuchName
-
-
-def test_casestudy_results_keep_runtime_property():
-    from repro.api import World
-    from repro.casestudies.findgrep import run_simple
-    from repro.lang.runner import ShillRuntime
-
-    world = World().with_usr_src(subsystems=1, files_per_dir=4).boot()
-    result = run_simple(world.kernel)
-    with pytest.warns(DeprecationWarning, match="deprecated alias"):
-        engine = result.runtime
-    assert isinstance(engine, ShillRuntime)
-    assert engine.profile["sandbox_count"] == result.run.sandbox_count

@@ -312,7 +312,7 @@ class TestPool:
 
     def test_pool_map_runs_on_every_worker(self):
         pool = World().pool(workers=2)
-        outs = pool.map(lambda w: w.read_file("/etc/passwd"), parallel=True)
+        outs = pool.map(lambda w: w.read_file("/etc/passwd"))
         assert len(outs) == 2 and outs[0] == outs[1]
 
     def test_pool_requires_a_worker(self):

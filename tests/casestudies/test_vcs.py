@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ThreadExecutor
 from repro.casestudies.vcs import (
     SCRIPTS,
     probe_batch,
@@ -111,6 +112,7 @@ class TestPolicyFlips:
 
 class TestExecutorEquivalence:
     def test_probe_batch_matches_across_sequential_and_thread(self):
-        sequential = [r.fingerprint() for r in probe_batch().run(backend="sequential")]
-        threaded = [r.fingerprint() for r in probe_batch().run(backend="thread")]
+        sequential = [r.fingerprint() for r in probe_batch().run()]
+        with ThreadExecutor() as executor:
+            threaded = [r.fingerprint() for r in probe_batch().run(executor=executor)]
         assert sequential == threaded

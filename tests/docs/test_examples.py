@@ -118,8 +118,7 @@ def test_the_primary_surface_carries_examples():
     expected = {"World", "Session", "Sandbox", "Batch", "RunResult",
                 "ScriptRegistry", "BoundedCache", "SequentialExecutor",
                 "ThreadExecutor", "ProcessExecutor", "StoreExecutor",
-                "RemoteExecutor", "ServeExecutor", "resolve_executor",
-                "create_executor", "register_executor"}
+                "RemoteExecutor", "ServeExecutor"}
     assert expected <= documented, (
         f"missing Example:: blocks on: {sorted(expected - documented)}")
 

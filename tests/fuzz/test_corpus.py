@@ -97,6 +97,18 @@ def test_deny_all_scenario_actually_denies():
     assert result.ops["mac_denials"] == len(result.denials)
 
 
+def test_executor_equivalence_leaves_the_default_store_alone(tmp_path, monkeypatch):
+    """Regression: the store leg of the equivalence check runs on a
+    store the check owns, never on the user's default snapshot store."""
+    from repro.fuzz.invariants import check_executor_equivalence
+
+    default_store = tmp_path / "default-store"
+    default_store.mkdir()
+    monkeypatch.setenv("REPRO_STORE", str(default_store))
+    check_executor_equivalence(Scenario.from_json(EMPTY_POLICY))
+    assert list(default_store.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # the harness itself
 # ---------------------------------------------------------------------------

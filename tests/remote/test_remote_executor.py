@@ -22,7 +22,6 @@ from repro.api import (
     SequentialExecutor,
     World,
     clear_result_cache,
-    resolve_executor,
 )
 
 WALK_AMBIENT = """\
@@ -31,8 +30,6 @@ docs = open_dir("~/Documents");
 entries = contents(docs);
 append(stdout, path(docs) + "\\n");
 """
-
-HELLO_AMBIENT = '#lang shill/ambient\nappend(stdout, "hello\\n");\n'
 
 FIND_JPG_CAP = """\
 #lang shill/cap
@@ -142,19 +139,6 @@ class TestEndToEnd:
             results = world.pool(workers=2).map(
                 operator.attrgetter("default_user"), executor=executor)
         assert results == ["alice", "alice"]
-
-    def test_resolve_executor_remote_needs_hosts(self):
-        with pytest.raises(ValueError, match="needs hosts"):
-            resolve_executor("remote")
-
-    def test_resolve_executor_remote_with_hosts(self, agent_factory, tmp_path):
-        _proc, addr = agent_factory("a0")
-        executor = resolve_executor("remote", hosts=[addr],
-                                    store=tmp_path / "coord")
-        with executor:
-            [result] = Batch(_jpeg_world(), cache=False) \
-                .add(HELLO_AMBIENT).run(executor=executor)
-        assert result.stdout == "hello\n"
 
 
 class TestWireIdentity:
