@@ -1,7 +1,8 @@
 """repro.api.executors — pluggable execution strategies.
 
-The :class:`Executor` protocol (``submit``/``as_completed``/``map``/
-``close``) plus the six shipped strategies:
+The :class:`Executor` protocol (``prepare``/``bind``/``submit``/
+``as_completed``/``close``) plus the six shipped strategies.  A job is
+one ambient SHILL script for one user, on every strategy:
 
 * :class:`SequentialExecutor` — the caller's thread; the reference;
 * :class:`ThreadExecutor` — a thread pool (concurrency, not cores);
@@ -15,9 +16,9 @@ The :class:`Executor` protocol (``submit``/``as_completed``/``map``/
 * :class:`ServeExecutor` — jobs through a long-lived ``repro serve``
   gateway that owns the agent fleet and the admission story.
 
-Executors are values: ``Batch.run(executor=...)`` and
-``WorldPool.map(executor=...)`` take an instance, and the CLI's
-``repro batch --executor NAME`` is the one place a name becomes one.
+Executors are values: ``Batch.run(executor=...)`` takes an instance,
+and the CLI's ``repro batch --executor NAME`` is the one place a name
+becomes one.
 Your own strategy is a subclass passed the same way.  See
 ``docs/executors.md`` for how to author one.
 """

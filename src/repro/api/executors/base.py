@@ -2,29 +2,24 @@
 
 An :class:`Executor` owns its resources (threads, worker processes, a
 snapshot store), is bound to a :class:`JobTemplate` (one booted machine
-plus the script registry jobs run against), and exposes four verbs::
+plus the script registry jobs run against), and exposes these verbs::
 
+    executor.prepare(world)                    # boot, the cheapest way
     executor.bind(template)
-    handle = executor.submit(job)      # -> JobHandle (future-like)
-    for handle in executor.as_completed(): ...
-    executor.map(jobs)                 # submit all, gather in order
-    executor.close()                   # release pools/processes
+    handle = executor.submit(job)              # -> JobHandle (future-like)
+    for handle in executor.as_completed(handles): ...
+    executor.close()                           # release pools/processes
 
 Executors are values: a caller says where jobs run by passing an
 instance (``Batch(...).run(executor=ThreadExecutor(8))``), never by
 naming one.  New strategies — yours included — plug in by implementing
 this protocol, without touching ``Batch``.
 
-Two job shapes share the protocol:
-
-* **script jobs** (``source`` set) — one ambient SHILL script for one
-  user, producing a frozen :class:`repro.api.RunResult`; the single
-  execution path is :func:`execute_job`, identical on every executor, so
-  the "parallel equals sequential" fingerprint guarantee reduces to
-  kernel forks (and snapshots) being faithful;
-* **callable jobs** (``fn`` set) — ``fn(world)`` against a fresh fork of
-  the template (``World.pool(...).map`` rides on this), producing
-  whatever ``fn`` returns.
+A job is one ambient SHILL script for one user, producing a frozen
+:class:`repro.api.RunResult`.  The single execution path is
+:func:`execute_job`, identical on every executor, so the "parallel
+equals sequential" fingerprint guarantee reduces to kernel forks (and
+snapshots) being faithful.
 
 Failures keep the Batch contract: script errors are results; everything
 else — engine bugs, crashed workers, broken pools — raises
@@ -33,16 +28,14 @@ else — engine bugs, crashed workers, broken pools — raises
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
-import threading
 import traceback as _traceback
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures import as_completed as _futures_as_completed
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.api.results import RunResult
 from repro.errors import ReproError
@@ -146,19 +139,17 @@ def execute_job(kernel: "Kernel", source: str, user: str | None,
 
 @dataclass(frozen=True)
 class ExecutorJob:
-    """One unit of work an executor schedules.
-
-    Exactly one of ``source`` (an ambient script job) or ``fn`` (a
-    callable mapped over a world fork) is set.  ``index`` is the
-    submission position — executors echo it back so coordinators can
-    merge completion-ordered results into submission order.
+    """One unit of work an executor schedules: the ambient script
+    ``source``, run as ``user`` (the template's default user when
+    ``None``).  ``index`` is the submission position — executors echo it
+    back so coordinators can merge completion-ordered results into
+    submission order.
     """
 
     index: int
     name: str
-    source: str | None = None
+    source: str
     user: str | None = None
-    fn: "Callable[[World], Any] | None" = None
 
 
 @dataclass(frozen=True)
@@ -169,16 +160,18 @@ class JobTemplate:
     (or an instance key for undigestible worlds) plus the kernel's
     mutation counters — so executors that cache expensive per-template
     resources (a pickled snapshot, a warm worker pool) know when a
-    rebind actually changed the machine underneath them.
+    rebind actually changed the machine underneath them.  ``fixtures``
+    is the world's fixture record; only a snapshot-store link carries
+    it (a store boot restores ``world.fixtures`` from the link), so
+    workers and agents, which never link, leave it empty.
     """
 
     kernel: "Kernel"
     scripts: tuple[tuple[str, str], ...]
     default_user: str
-    fixtures: dict
-    install_shill: bool
     digest: str | None
     token: tuple
+    fixtures: dict = field(default_factory=dict)
 
     @classmethod
     def for_world(cls, world: "World",
@@ -196,10 +189,9 @@ class JobTemplate:
             kernel=world.kernel,
             scripts=tuple(scripts),
             default_user=world.default_user,
-            fixtures=world.fixtures,
-            install_shill=world._install_shill,
             digest=world.digest if world.pristine else None,
             token=cls.token_for(world),
+            fixtures=world.fixtures,
         )
 
     @staticmethod
@@ -221,57 +213,27 @@ class JobTemplate:
         return (key, kernel.state_epoch, kernel.vfs.generation)
 
 
-def portable_fixtures(fixtures: dict) -> dict:
-    """``fixtures`` if the record pickles, ``{}`` otherwise.
-
-    Fixture values are normally plain data, but a keyed ``with_setup``
-    step can record anything; a value that cannot cross a process
-    boundary (or land in a snapshot-store link) must not crash a run
-    whose jobs never read it — it is simply absent on the far side
-    (documented on :meth:`repro.api.World.with_setup`).
-    """
-    import pickle
-
-    try:
-        pickle.dumps(fixtures)
-    except Exception:
-        return {}
-    return fixtures
-
-
-def run_job(template: JobTemplate, job: ExecutorJob) -> Any:
-    """Execute one job (script or callable) against a fork of the
-    template — shared by every executor, in-process and in workers."""
-    if job.fn is not None:
-        from repro.api.worlds import World
-
-        world = World._from_kernel(
-            template.kernel.fork(), default_user=template.default_user,
-            fixtures=copy.deepcopy(template.fixtures),
-            install_shill=template.install_shill)
-        return job.fn(world)
-    assert job.source is not None
+def run_job(template: JobTemplate, job: ExecutorJob) -> RunResult:
+    """Execute one job against a fork of the template — shared by every
+    executor, in-process and in workers."""
     return execute_job(template.kernel, job.source, job.user, job.name,
-                       dict(template.scripts), template.default_user)
+                       template.scripts, template.default_user)
 
 
 class JobHandle:
     """A future-like handle for one submitted job.
 
-    ``result()`` returns the job's outcome (a :class:`RunResult` for
-    script jobs, ``fn``'s return value for callable jobs).  Engine and
+    ``result()`` returns the job's :class:`RunResult`.  Engine and
     worker failures — whatever the executor — surface as
     :class:`BatchExecutionError` naming the job; script failures are
     *results*, never exceptions.
     """
 
-    __slots__ = ("job", "_future", "_decode")
+    __slots__ = ("job", "_future")
 
-    def __init__(self, job: ExecutorJob, future: Future,
-                 decode: "Callable[[ExecutorJob, Any], Any] | None" = None) -> None:
+    def __init__(self, job: ExecutorJob, future: Future) -> None:
         self.job = job
         self._future = future
-        self._decode = decode
 
     @property
     def index(self) -> int:
@@ -280,9 +242,9 @@ class JobHandle:
     def done(self) -> bool:
         return self._future.done()
 
-    def result(self, timeout: "float | None" = None) -> Any:
+    def result(self, timeout: "float | None" = None) -> RunResult:
         try:
-            raw = self._future.result(timeout)
+            return self._future.result(timeout)
         except BatchExecutionError:
             raise
         except (TimeoutError, _FuturesTimeout) as err:
@@ -296,9 +258,6 @@ class JobHandle:
             raise self._job_failure(err) from err
         except Exception as err:
             raise self._job_failure(err) from err
-        if self._decode is not None:
-            return self._decode(self.job, raw)
-        return raw
 
     def _job_failure(self, err: BaseException) -> BatchExecutionError:
         """Anything non-Repro escaping a job — an engine bug in a
@@ -355,10 +314,6 @@ class Executor:
             raise ValueError("workers must be positive")
         self.workers = workers or DEFAULT_WORKERS
         self._template: JobTemplate | None = None
-        # Owners may share one executor across threads; the pending-
-        # handle list must not lose a concurrent submit to a drain.
-        self._pending: list[JobHandle] = []
-        self._pending_lock = threading.Lock()
 
     # -- template lifecycle ------------------------------------------------
 
@@ -395,57 +350,36 @@ class Executor:
     def _on_rebind(self) -> None:
         """Hook: the bound template genuinely changed (different token)."""
 
-    # -- the four protocol verbs -------------------------------------------
+    # -- the protocol verbs ------------------------------------------------
 
     def submit(self, job: ExecutorJob) -> JobHandle:
-        """Schedule one job; returns a future-like :class:`JobHandle`."""
+        """Schedule one job; returns a future-like :class:`JobHandle`.
+        The executor keeps no reference to it: the caller owns it."""
         if self._template is None:
             raise RuntimeError(f"{type(self).__name__} is not bound to a "
                                "template; call bind() first (Batch does "
                                "this for you)")
-        handle = self._submit(self._template, job)
-        with self._pending_lock:
-            self._pending.append(handle)
-        return handle
+        return self._submit(self._template, job)
 
-    def as_completed(self, handles: "Iterable[JobHandle] | None" = None,
+    def as_completed(self, handles: Iterable[JobHandle],
                      timeout: "float | None" = None) -> Iterator[JobHandle]:
-        """Yield handles as their jobs finish.
+        """Yield ``handles`` as their jobs finish.
 
-        With no argument, drains every handle submitted since the last
-        drain; with an explicit iterable, drains exactly those handles
-        (they are consumed — removed from the no-arg drain — so two
-        owners sharing one executor never swallow each other's work).
-        Already-finished handles come first, in submission order (this
-        is what makes the sequential executor fully deterministic); the
-        rest follow in completion order.
+        Already-finished handles come first, in the order given (this is
+        what makes the sequential executor fully deterministic); the
+        rest follow in completion order.  Each handle is classified
+        once, so one finishing mid-call is yielded exactly once.
         """
-        if handles is None:
-            with self._pending_lock:
-                pending, self._pending = self._pending, []
-        else:
-            pending = list(handles)
-            self._consume(pending)
-        done = [h for h in pending if h.done()]
-        waiting = {h._future: h for h in pending if not h.done()}
+        done: list[JobHandle] = []
+        waiting: dict[Future, JobHandle] = {}
+        for handle in handles:
+            if handle.done():
+                done.append(handle)
+            else:
+                waiting[handle._future] = handle
         yield from done
         for future in _futures_as_completed(waiting, timeout=timeout):
             yield waiting[future]
-
-    def map(self, jobs: Iterable[ExecutorJob]) -> list[Any]:
-        """Submit every job and gather results in submission order."""
-        handles = [self.submit(job) for job in jobs]
-        try:
-            return [handle.result() for handle in handles]
-        finally:
-            # map() owns its handles; don't leave them for a later
-            # as_completed() drain to double-consume.
-            self._consume(handles)
-
-    def _consume(self, handles: "list[JobHandle]") -> None:
-        taken = set(map(id, handles))
-        with self._pending_lock:
-            self._pending = [h for h in self._pending if id(h) not in taken]
 
     def close(self) -> None:
         """Release owned resources (pools, worker processes)."""

@@ -3,9 +3,11 @@
 The only strategy that uses more than one core: the bound template is
 serialized once (:mod:`repro.kernel.serialize`), each worker process
 restores a private machine in its pool initializer, and every job forks
-that machine locally — restore-once, fork-per-job.  Results (and typed
-failures) travel home as data, because exceptions do not carry
-tracebacks across process boundaries faithfully.
+that machine locally — restore-once, fork-per-job.  A worker returns the
+job's :class:`~repro.api.RunResult` or raises
+:class:`~repro.api.executors.base.BatchExecutionError`, which pickles
+with its traceback text, so an engine failure crosses the process
+boundary typed and attributed.
 
 The pool is cached per template *token*: rebinding the same machine
 state reuses warm workers, so an executor held across many batches pays
@@ -14,10 +16,8 @@ the snapshot + spawn cost once; one constructed per run pays it per run.
 
 from __future__ import annotations
 
-import pickle
 import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any
 
 from repro.api.executors.base import (
     BatchExecutionError,
@@ -25,7 +25,6 @@ from repro.api.executors.base import (
     ExecutorJob,
     JobHandle,
     JobTemplate,
-    portable_fixtures,
     run_job,
 )
 from repro.api.results import RunResult
@@ -39,84 +38,48 @@ from repro.api.results import RunResult
 _WORKER_STATE: dict = {}
 
 
-def _install_worker_template(kernel, scripts_items: tuple,
-                             default_user: str, fixtures: dict,
-                             install_shill: bool) -> None:
-    _WORKER_STATE["template"] = JobTemplate(
-        kernel=kernel,
-        scripts=tuple(scripts_items),
-        default_user=default_user,
-        fixtures=fixtures,
-        install_shill=install_shill,
-        digest=None,
-        token=("worker",),
-    )
-
-
-def _process_worker_init(payload: bytes, scripts_items: tuple,
-                         default_user: str, fixtures: dict,
-                         install_shill: bool) -> None:
+def _process_worker_init(payload: bytes, scripts: tuple,
+                         default_user: str) -> None:
     """Pool initializer: unpickle the shipped template once per worker."""
     from repro.kernel.serialize import restore_kernel
 
-    _install_worker_template(restore_kernel(payload), scripts_items,
-                             default_user, fixtures, install_shill)
+    _WORKER_STATE["template"] = JobTemplate(
+        kernel=restore_kernel(payload), scripts=scripts,
+        default_user=default_user, digest=None, token=("worker",))
 
 
 def _store_worker_init(store_root: str, snapshot_digest: str,
-                       scripts_items: tuple, default_user: str,
-                       fixtures: dict, install_shill: bool) -> None:
+                       scripts: tuple, default_user: str) -> None:
     """Pool initializer for store-backed workers: boot from the on-disk
     blob instead of a pickled payload in ``initargs`` — initargs carry a
     path and a digest, not a machine.  ``restore`` resolves delta blobs
     against their base chain in the same store."""
     from repro.kernel.store import SnapshotStore
 
-    kernel = SnapshotStore(store_root).restore(snapshot_digest)
-    _install_worker_template(kernel, scripts_items, default_user,
-                             fixtures, install_shill)
+    _WORKER_STATE["template"] = JobTemplate(
+        kernel=SnapshotStore(store_root).restore(snapshot_digest),
+        scripts=scripts, default_user=default_user, digest=None,
+        token=("worker",))
 
 
-def _process_worker_run(packed: tuple) -> tuple:
-    """Run one job in a worker; never raises (failures travel home as
-    ("error", ...) tuples and the coordinator re-raises the typed
-    error)."""
-    index, name, user, source, fn = packed
-    job = ExecutorJob(index=index, name=name, source=source, user=user, fn=fn)
+def _process_worker_run(job: ExecutorJob) -> RunResult:
+    """Run one job in a worker.  Anything but a result leaves as a
+    :class:`BatchExecutionError` naming the job, so the coordinator's
+    handle re-raises it typed, original traceback text included."""
     try:
-        result = run_job(_WORKER_STATE["template"], job)
-        # The executor pickles our return value *after* this frame
-        # exits, where a failure surfaces as an opaque pool error —
-        # probe whatever can carry arbitrary objects now, so an
-        # unpicklable value fails with the job named.  Script jobs
-        # produce value=None, so the common path pays nothing.
-        probe = result.value if isinstance(result, RunResult) else result
-        if probe is not None:
-            try:
-                pickle.dumps(probe)
-            except Exception:
-                return ("error", index, name, user, _traceback.format_exc())
-        return ("ok", index, result)
-    except BatchExecutionError as err:
-        return ("error", index, err.job_name, err.user, err.traceback_text)
-    except Exception:
-        return ("error", index, name, user, _traceback.format_exc())
-
-
-def _decode_outcome(job: ExecutorJob, outcome: tuple) -> Any:
-    """Translate a worker's outcome tuple; errors re-raise typed."""
-    if outcome[0] == "error":
-        _tag, _index, name, user, tb_text = outcome
-        raise BatchExecutionError(name, user, tb_text)
-    return outcome[2]
+        return run_job(_WORKER_STATE["template"], job)
+    except BatchExecutionError:
+        raise
+    except Exception as err:
+        raise BatchExecutionError(job.name, job.user,
+                                  _traceback.format_exc()) from err
 
 
 class ProcessExecutor(Executor):
     """Jobs run in a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
     Workers restore the template from a one-time pickle and fork per
-    job.  Mapped callables (``fn`` jobs) and their return values must be
-    picklable, i.e. module-level.
+    job.
 
     Example::
 
@@ -146,9 +109,7 @@ class ProcessExecutor(Executor):
 
         payload = snapshot_kernel(template.kernel)
         return (_process_worker_init,
-                (payload, template.scripts, template.default_user,
-                 portable_fixtures(template.fixtures),
-                 template.install_shill))
+                (payload, template.scripts, template.default_user))
 
     def _ensure_pool(self, template: JobTemplate) -> ProcessPoolExecutor:
         # The pool identity is everything its initializer baked into the
@@ -170,9 +131,7 @@ class ProcessExecutor(Executor):
 
     def _submit(self, template: JobTemplate, job: ExecutorJob) -> JobHandle:
         pool = self._ensure_pool(template)
-        packed = (job.index, job.name, job.user, job.source, job.fn)
-        return JobHandle(job, pool.submit(_process_worker_run, packed),
-                         decode=_decode_outcome)
+        return JobHandle(job, pool.submit(_process_worker_run, job))
 
     def close(self) -> None:
         if self._pool is not None:

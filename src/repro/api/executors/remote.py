@@ -38,7 +38,7 @@ import time
 import traceback as _traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.api.executors.base import (
     BatchExecutionError,
@@ -47,9 +47,9 @@ from repro.api.executors.base import (
     ExecutorJob,
     JobHandle,
     JobTemplate,
-    portable_fixtures,
 )
 from repro.api.executors.store import StoreBootMixin
+from repro.api.results import RunResult
 from repro.api.scheduling import SchedulingPolicy
 from repro.kernel.store import SnapshotStore
 from repro.remote.hostpool import (
@@ -129,8 +129,7 @@ class RemoteExecutor(StoreBootMixin, Executor):
     # -- protocol ----------------------------------------------------------
 
     def _submit(self, template: JobTemplate, job: ExecutorJob) -> JobHandle:
-        # Owners may submit from several threads (the base class's
-        # _pending_lock exists for exactly that); the lazy pool must not
+        # Owners may submit from several threads; the lazy pool must not
         # be created twice, or the loser's threads leak past close().
         with self._dispatch_lock:
             if self._dispatch is None:
@@ -150,15 +149,15 @@ class RemoteExecutor(StoreBootMixin, Executor):
 
     # -- one job, end to end -----------------------------------------------
 
-    def _run_remote(self, template: JobTemplate, job: ExecutorJob) -> Any:
+    def _run_remote(self, template: JobTemplate, job: ExecutorJob) -> RunResult:
         """Run ``job`` through the pool's failover loop, waiting out
         BUSY replies on a bounded budget of their own."""
         wire = self._wire_template(template)
-        fields, blob = self._encode(job, wire.key)
+        fields = self._encode(job, wire.key)
         busy = 0
         while True:
             try:
-                reply = self.hosts.dispatch(wire, fields, blob, job=job,
+                reply = self.hosts.dispatch(wire, fields, job=job,
                                             on_ready=self._record_boot)
             except HostsExhausted as err:
                 raise BatchExecutionError(
@@ -178,17 +177,17 @@ class RemoteExecutor(StoreBootMixin, Executor):
             time.sleep(float(reply.fields.get("retry_after", 0.05)))
 
     @staticmethod
-    def _encode(job: ExecutorJob, wire_key: str) -> tuple[dict, bytes]:
-        fields = {"index": job.index, "name": job.name, "user": job.user,
-                  "source": job.source, "has_fn": job.fn is not None,
-                  # SUBMIT names its template: agents hold many at once,
-                  # and a reused executor must never run against
-                  # whichever template this connection prepared last.
-                  "template": wire_key}
-        return fields, pickle.dumps(job.fn) if job.fn is not None else b""
+    def _encode(job: ExecutorJob, wire_key: str) -> dict:
+        """The SUBMIT fields of ``job``; a SUBMIT carries no blob."""
+        return {"index": job.index, "name": job.name, "user": job.user,
+                "source": job.source,
+                # SUBMIT names its template: agents hold many at once,
+                # and a reused executor must never run against whichever
+                # template this connection prepared last.
+                "template": wire_key}
 
     @staticmethod
-    def _decode(reply: Message) -> Any:
+    def _decode(reply: Message) -> RunResult:
         if reply.fields.get("status") == "error":
             # A deterministic failure *inside* the job on a healthy
             # host: re-raise with the agent's attribution, never retry.
@@ -218,13 +217,9 @@ class RemoteExecutor(StoreBootMixin, Executor):
                     "scripts": [[name, source]
                                 for name, source in template.scripts],
                     "default_user": template.default_user,
-                    "install_shill": template.install_shill,
                     "stats": dict(template.kernel.stats.snapshot()),
                 }
-                wire = WireTemplate(
-                    template_key(fields), fields,
-                    pickle.dumps(portable_fixtures(template.fixtures)),
-                    self.store)
+                wire = WireTemplate(template_key(fields), fields, self.store)
                 self._wire[template.token] = wire
         return wire
 

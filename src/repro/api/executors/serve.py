@@ -4,7 +4,7 @@ Where :class:`~repro.api.executors.remote.RemoteExecutor` manages its
 own fleet — it dials every agent, prepares each one, shards jobs across
 them — :class:`ServeExecutor` talks to exactly one address: a
 :mod:`repro.serve` gateway that looks, on the wire, like a single very
-large v2 agent.  The gateway owns the fleet (agents announce
+large agent.  The gateway owns the fleet (agents announce
 themselves, rejoin after restarts, get scored by the gateway's
 scheduling policy) and the admission story (per-user rate limits,
 bounded queues, BUSY/RETRY-AFTER backpressure); the client just
@@ -76,12 +76,12 @@ class ServeExecutor(RemoteExecutor):
                          concurrency=concurrency)
 
     def _encode(self, job, wire_key):  # type: ignore[override]
-        fields, blob = super()._encode(job, wire_key)
+        fields = super()._encode(job, wire_key)
         if self.user is not None:
             # Attribution for the gateway's per-user rate limits; the
             # job's *execution* user is fields["user"], untouched.
             fields["requester"] = self.user
-        return fields, blob
+        return fields
 
     def __repr__(self) -> str:
         return (f"<ServeExecutor gateway={self.gateway} "

@@ -30,16 +30,30 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.api.executors.base import (
-    BootInfo,
-    JobTemplate,
-    portable_fixtures,
-)
+from repro.api.executors.base import BootInfo, JobTemplate
 from repro.api.executors.process import ProcessExecutor, _store_worker_init
 from repro.kernel.store import SnapshotStore
 
 if TYPE_CHECKING:
     from repro.api.worlds import World
+
+
+def portable_fixtures(fixtures: dict) -> dict:
+    """``fixtures`` if the record pickles, ``{}`` otherwise.
+
+    Fixture values are normally plain data, but a keyed ``with_setup``
+    step can record anything; a value that cannot land in a
+    snapshot-store link must not crash a run whose jobs never read it —
+    it is simply absent from worlds booted off the link (documented on
+    :meth:`repro.api.World.with_setup`).
+    """
+    import pickle
+
+    try:
+        pickle.dumps(fixtures)
+    except Exception:
+        return {}
+    return fixtures
 
 
 class StoreBootMixin:
@@ -192,8 +206,6 @@ class StoreBootMixin:
 
             self.store.link_world(template.digest, snapshot_digest, meta={
                 "fixtures": portable_fixtures(template.fixtures),
-                "default_user": template.default_user,
-                "install_shill": template.install_shill,
                 "stats": dict(template.kernel.stats.snapshot()),
                 "world_version": WORLD_IMAGE_VERSION,
             })
@@ -234,8 +246,7 @@ class StoreExecutor(StoreBootMixin, ProcessExecutor):
         snapshot_digest = self._snapshot_into_store(template)
         return (_store_worker_init,
                 (str(self.store.root), snapshot_digest, template.scripts,
-                 template.default_user, portable_fixtures(template.fixtures),
-                 template.install_shill))
+                 template.default_user))
 
     def __repr__(self) -> str:
         return f"<StoreExecutor workers={self.workers} store={self.store.root}>"

@@ -59,10 +59,9 @@ class SchedulingPolicy(Protocol):
         ``host`` is the pool's per-host state object, ``job`` the
         :class:`~repro.api.executors.base.ExecutorJob` being placed —
         the same type whether a ``RemoteExecutor`` or the gateway
-        dispatches it (the gateway never unpickles a client's callable,
-        so there ``job.fn`` is ``None``) — or ``None`` when the caller
-        has no job context, and ``telemetry`` the live counters table in
-        the module docstring.
+        dispatches it — or ``None`` when the caller has no job context,
+        and ``telemetry`` the live counters table in the module
+        docstring.
         """
         ...  # pragma: no cover - protocol signature
 

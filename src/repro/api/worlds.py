@@ -45,7 +45,6 @@ from repro.world import (
 from repro.world.image import WorldBuilder
 
 if TYPE_CHECKING:
-    from repro.api.executors import Executor
     from repro.kernel.kernel import Kernel
     from repro.kernel.syscalls import SyscallInterface
 
@@ -297,8 +296,8 @@ class World:
         different setup functions under one key would wrongly share
         cached images and results.  Fixture values should be plain data:
         a value that refuses deep-copy keeps the boot private (uncached),
-        and one that refuses pickling is simply absent from process
-        workers and snapshot-store links.
+        and one that refuses pickling is simply absent from
+        snapshot-store links.
         """
         return self._add_step(key, fn, None if key is None else f"setup:{key}")
 
@@ -451,26 +450,11 @@ class World:
         self._boot_epoch = self.kernel.state_epoch
         return self
 
-    @classmethod
-    def _from_kernel(cls, kernel: "Kernel", *, default_user: str,
-                     fixtures: dict, install_shill: bool) -> "World":
-        """A booted World over an already-materialised kernel (a restored
-        snapshot) — the single place worker processes rebuild a World, so
-        every construction invariant stays owned by this class.  Such
-        worlds have no build steps or digest: they are deliberately
-        uncacheable (their provenance is the snapshot, not a recipe)."""
-        world = cls(install_shill=install_shill)
-        world._default_user = default_user
-        world.kernel = kernel
-        world.fixtures = fixtures
-        world._boot_generation = kernel.vfs.generation
-        world._boot_epoch = kernel.state_epoch
-        return world
-
     def pool(self, workers: int = 4) -> "WorldPool":
         """``workers`` independent forks of this world, for long-lived
-        parallel sessions (the batch runner forks per job instead).
-        Where :meth:`WorldPool.map` runs is chosen per call."""
+        parallel sessions and the caller's own Python
+        (:meth:`WorldPool.map`).  SHILL jobs go through
+        :class:`repro.api.Batch`, which forks per job on any executor."""
         return WorldPool(self, workers)
 
     # -- handles over the booted world -------------------------------------
@@ -582,7 +566,9 @@ class WorldPool:
     workers can run in parallel without sharing any mutable state.  The
     forks are taken at construction, so later writes to the base world
     never reach them.  :meth:`map` is the convenience driver; index or
-    iterate the pool to own the scheduling yourself.
+    iterate the pool to own the scheduling yourself.  The pool runs the
+    caller's own Python in the caller's process; executors run SHILL
+    scripts (:class:`repro.api.Batch`).
     """
 
     def __init__(self, base: World, workers: int = 4) -> None:
@@ -601,35 +587,14 @@ class WorldPool:
     def __getitem__(self, index: int) -> World:
         return self.worlds[index]
 
-    def map(self, fn: Callable[[World], Any], *,
-            executor: "Executor | None" = None) -> list[Any]:
-        """Run ``fn(world)`` once per worker; results in worker order.
+    def map(self, fn: Callable[[World], Any]) -> list[Any]:
+        """Run ``fn(world)`` once per worker on a thread pool against the
+        pool's own worker worlds; results in worker order.  Writes made
+        by one ``map`` call are visible to the next."""
+        from concurrent.futures import ThreadPoolExecutor
 
-        With no ``executor``, ``fn`` runs on a thread pool against the
-        pool's own worker worlds, so writes made by one ``map`` call are
-        visible to the next.  An :class:`~repro.api.executors.Executor`
-        instance (the caller keeps ownership and closes it) follows the
-        executor protocol instead: each call runs on a fresh fork of
-        the base world and keeps nothing, failures surface as
-        :class:`repro.api.BatchExecutionError`, and anything a mapped
-        function wants to keep must be in its return value.  Process-
-        family executors ship a snapshot to worker processes, so there
-        ``fn`` (and its result) must pickle.  Use
-        :class:`repro.api.Batch` for a per-job-fork contract identical
-        on every executor.
-        """
-        if executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(self.worlds)) as pool:
-                return list(pool.map(fn, self.worlds))
-        from repro.api.executors import ExecutorJob, JobTemplate
-
-        executor.bind(JobTemplate.for_world(self.base))
-        return executor.map([
-            ExecutorJob(index=index, name=f"map{index}", fn=fn)
-            for index in range(len(self.worlds))
-        ])
+        with ThreadPoolExecutor(max_workers=len(self.worlds)) as pool:
+            return list(pool.map(fn, self.worlds))
 
     def __repr__(self) -> str:
         return f"<WorldPool workers={len(self.worlds)} base={self.base!r}>"

@@ -14,7 +14,10 @@ miss — and per SUBMIT it forks that template and runs the job through
 :func:`repro.api.executors.base.run_job`, the *same* single execution
 path every local executor uses.  That sharing is the whole determinism
 argument: an agent cannot diverge from ``SequentialExecutor`` without
-``run_job`` itself diverging.
+``run_job`` itself diverging.  A job is the script in the SUBMIT
+header: an agent unpickles nothing a peer sends in SUBMIT or PREPARE.
+The only peer bytes it reads are snapshot blobs, which arrive through
+:class:`~repro.remote.wire.BlobPull`'s digest check.
 
 On startup the agent prints one machine-readable line::
 
@@ -274,13 +277,10 @@ class AgentServer:
             if kernel is None:
                 kernel = self.store.restore(snapshot)
                 self._kernels[snapshot] = kernel
-            fixtures = pickle.loads(msg.blob) if msg.blob else {}
             template = JobTemplate(
                 kernel=kernel,
                 scripts=tuple((n, s) for n, s in fields.get("scripts", [])),
                 default_user=fields["default_user"],
-                fixtures=fixtures,
-                install_shill=fields.get("install_shill", True),
                 digest=None,
                 token=("agent", key),
             )
@@ -318,13 +318,9 @@ class AgentServer:
             return
         index, name, user = fields["index"], fields["name"], fields.get("user")
         try:
-            # Unpickling the mapped fn is part of the job: a callable
-            # the agent cannot import is a deterministic failure worth a
-            # RESULT with attribution, not a dead connection.
-            job = ExecutorJob(
-                index=index, name=name, source=source, user=user,
-                fn=pickle.loads(msg.blob) if fields.get("has_fn") else None,
-            )
+            # The job is its script, read from the header: nothing a
+            # peer sends is unpickled here.
+            job = ExecutorJob(index=index, name=name, source=source, user=user)
             result = run_job(template, job)
             conn.send("RESULT", msg.echo({"index": index, "status": "ok"}),
                       pickle.dumps(result))

@@ -81,13 +81,12 @@ class HostSpec:
 @dataclass(frozen=True)
 class WireTemplate:
     """What a host needs to run jobs against one template: the wire
-    ``key`` SUBMITs name, the PREPARE ``fields`` and pickled
-    ``fixtures`` blob, and the ``store`` that answers the host's NEEDs.
+    ``key`` SUBMITs name, the PREPARE ``fields``, and the ``store`` that
+    answers the host's NEEDs.
     """
 
     key: str
     fields: dict
-    fixtures: bytes
     store: "SnapshotStore"
 
 
@@ -261,10 +260,10 @@ class HostPool:
 
     # -- the failover loop -------------------------------------------------
 
-    def dispatch(self, template: WireTemplate, fields: dict, blob: bytes = b"",
+    def dispatch(self, template: WireTemplate, fields: dict,
                  *, job: Any = None, log: "Callable[..., None]" = _quiet,
                  on_ready: "Callable[..., None]" = _quiet) -> Message:
-        """Run one SUBMIT (``fields`` + ``blob``) on some live host.
+        """Run one SUBMIT (``fields``) on some live host.
 
         Pick a host for ``job`` (re-dialling dead hosts once before
         giving up), take one of its concurrency slots, open its link,
@@ -291,7 +290,7 @@ class HostPool:
                     with self.lease(host):
                         log("dispatch", name=name, user=user, verdict="miss",
                             host=str(host.spec))
-                        reply = link.request("SUBMIT", fields, blob).expect(
+                        reply = link.request("SUBMIT", fields).expect(
                             "RESULT", "BUSY")
                 except (WireError, OSError) as err:
                     excluded.add(host.spec)
@@ -344,7 +343,7 @@ class HostPool:
             if template.key in host.prepared:
                 return
             with link.converse() as conv:
-                reply = conv.request("PREPARE", template.fields, template.fixtures)
+                reply = conv.request("PREPARE", template.fields)
                 while reply.type == "NEED":
                     needed = reply.fields["snapshot"]
                     reply = conv.request("BLOB", {"snapshot": needed},

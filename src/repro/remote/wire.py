@@ -4,13 +4,15 @@ One **frame** is::
 
     !II          header length, blob length (big-endian, 4 bytes each)
     header       UTF-8 JSON object; ``"type"`` names the message
-    blob         raw bytes (snapshot blobs, pickled fixtures/results)
+    blob         raw bytes (snapshot blobs, pickled results)
 
-Everything structural (message type, job metadata, digests, op counts)
-rides in the JSON header, so a frame is inspectable with nothing but a
-socket dump; everything *opaque* (snapshot bytes, pickled
-``RunResult``\\ s and fixture records) rides in the blob, so JSON never
-sees bytes it cannot represent.  Frames are capped at
+Everything structural (message type, job metadata and script source,
+digests, op counts) rides in the JSON header, so a frame is inspectable
+with nothing but a socket dump; everything *opaque* (snapshot bytes,
+pickled ``RunResult``\\ s) rides in the blob, so JSON never sees bytes
+it cannot represent.  Only BLOB (snapshot bytes, digest-checked by
+:class:`BlobPull`) and RESULT carry a blob; SUBMIT and PREPARE are
+header-only.  Frames are capped at
 :data:`MAX_FRAME_BYTES` — a corrupt length prefix must fail fast, not
 allocate gigabytes.  :func:`encode_frame`, :func:`frame_sizes` and
 :func:`decode_frame` are the one codec: the sync :class:`Connection`
@@ -29,8 +31,8 @@ one connection at once and replies may arrive in any order::
                                               … or NEED {snapshot, ch}, then:
     BLOB {snapshot, ch} + blob bytes    ->
                                         <-    READY {source: "wire", ch}
-    SUBMIT {index, name, user, ch} [+fn]->    (N of these may interleave)
-    SUBMIT {index, name, user, ch'}     ->
+    SUBMIT {index, name, source, ch}    ->    (N of these may interleave)
+    SUBMIT {index, name, source, ch'}   ->
                                         <-    RESULT {status, ch'} + blob
                                         <-    RESULT {status, ch} + blob
     GOODBYE                             ->    (agent closes)
@@ -76,14 +78,18 @@ if TYPE_CHECKING:
 
 #: Bumped whenever frames or the message vocabulary change incompatibly.
 #: Version 2 added channel-tagged frames (concurrent jobs on one
-#: connection); both ends negotiate down to the highest version both
-#: speak, and refuse to talk below :data:`MIN_WIRE_VERSION`.
-WIRE_VERSION = 2
+#: connection); version 3 made a job one SHILL script — no pickled
+#: callable in SUBMIT, no fixtures blob in PREPARE, and a template key
+#: over three ingredients instead of four.  Both ends negotiate down to
+#: the highest version both speak, and refuse to talk below
+#: :data:`MIN_WIRE_VERSION`.
+WIRE_VERSION = 3
 
 #: The oldest version this end still speaks.  Every peer lives in this
-#: tree, so the floor is the current version: a v1 (channel-less) peer
-#: is refused with a readable :class:`WireVersionError`.
-MIN_WIRE_VERSION = 2
+#: tree, so the floor is the current version: an older peer would name
+#: templates by another key (and might send callables), so it is
+#: refused with a readable :class:`WireVersionError`.
+MIN_WIRE_VERSION = 3
 
 #: Hard cap on one frame (header + blob).  Snapshot blobs are hundreds
 #: of KiB; 256 MiB is comfortably above any real machine image while
@@ -134,8 +140,9 @@ def template_key(prepare: "dict[str, Any]") -> str:
     describe.
 
     Every end computes it from the same PREPARE ingredients — snapshot
-    digest, script registry, default user, install flag — so a SUBMIT
-    can name exactly which template it runs against.  An agent may hold
+    digest, script registry, default user — so a SUBMIT can name exactly
+    which template it runs against (the snapshot digest already tells a
+    machine with the SHILL module from one without).  An agent may hold
     many templates at once (one coordinator sweeping many worlds, or
     many coordinators); without this key in SUBMIT, a reused connection
     would silently run jobs against whichever template was prepared
@@ -143,7 +150,7 @@ def template_key(prepare: "dict[str, Any]") -> str:
     """
     basis = json.dumps(
         [prepare["snapshot"], [list(pair) for pair in prepare.get("scripts", [])],
-         prepare["default_user"], bool(prepare.get("install_shill", True))],
+         prepare["default_user"]],
         sort_keys=True)
     return hashlib.sha256(basis.encode()).hexdigest()
 

@@ -124,9 +124,9 @@ class Gateway:
                              concurrency=concurrency)
         self.admission = AdmissionController(rate=rate, burst=burst,
                                              max_pending=max_pending)
-        #: wire template key -> the PREPARE fields and fixtures blob
-        #: exactly as a client shipped them — relayed verbatim to agents
-        #: that miss, so both hops compute the same template identity.
+        #: wire template key -> the PREPARE fields exactly as a client
+        #: shipped them — relayed verbatim to agents that miss, so both
+        #: hops compute the same template identity.
         self._templates: "dict[str, WireTemplate]" = {}
         self._templates_lock = threading.Lock()
         self._dispatch = ThreadPoolExecutor(max_workers=DISPATCH_WORKERS,
@@ -303,8 +303,7 @@ class Gateway:
         source = "wire" if pull.pulled else "memory" if known else "store"
         relay = {k: v for k, v in fields.items() if k != "channel"}
         with self._templates_lock:
-            self._templates[wire_key] = WireTemplate(wire_key, relay, msg.blob,
-                                                     self.store)
+            self._templates[wire_key] = WireTemplate(wire_key, relay, self.store)
         self._log("template", key=wire_key[:16], snapshot=snapshot[:16],
                   source=source)
         # build_ops is empty by construction: the gateway relays, it
@@ -343,7 +342,7 @@ class Gateway:
         try:
             loop = asyncio.get_running_loop()
             reply_fields, blob = await loop.run_in_executor(
-                self._dispatch, self._dispatch_job, dict(fields), msg.blob)
+                self._dispatch, self._dispatch_job, dict(fields))
         finally:
             self.admission.release()
         self._cache_store(fields, reply_fields, blob)
@@ -351,10 +350,9 @@ class Gateway:
                               blob)
 
     def _cache_key(self, fields: dict) -> "tuple | None":
-        """Per-user cache key, or None for uncacheable SUBMITs: callable
-        jobs (their pickled fn is opaque) and sourceless frames."""
-        if (self._result_cache is None or fields.get("has_fn")
-                or fields.get("source") is None):
+        """Per-user cache key, or None when the cache is off or the
+        SUBMIT carries no script."""
+        if self._result_cache is None or fields.get("source") is None:
             return None
         return (fields.get("requester") or fields.get("user") or "anonymous",
                 fields.get("template", ""), fields.get("user"),
@@ -382,8 +380,7 @@ class Gateway:
         except (OSError, ConnectionError, RuntimeError):
             self._log("client_gone", name=fields.get("name"))
 
-    def _dispatch_job(self, fields: dict, blob: bytes
-                      ) -> "tuple[dict, bytes]":
+    def _dispatch_job(self, fields: dict) -> "tuple[dict, bytes]":
         """Relay one SUBMIT to an agent through the pool's failover loop
         (sync; runs on the dispatch pool).  Every way the relay can
         fail — an unknown template, an exhausted fleet, an exception
@@ -402,13 +399,11 @@ class Gateway:
                                            "executor)")
             relay = {k: v for k, v in fields.items()
                      if k not in ("channel", "requester")}
-            # Policies score the same job type on every path; the gateway
-            # never unpickles a client's callable, so ``fn`` stays None.
+            # Policies score the same job type on every path.
             job = ExecutorJob(index=fields.get("index"), name=fields.get("name"),
                               source=fields.get("source"),
                               user=fields.get("user"))
-            reply = self.pool.dispatch(template, relay, blob, job=job,
-                                       log=self._log)
+            reply = self.pool.dispatch(template, relay, job=job, log=self._log)
         except HostsExhausted as err:
             self._log("exhausted", name=fields.get("name"), tried=err.tried)
             return self._error(fields, f"gateway: no live agents left "

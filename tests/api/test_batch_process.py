@@ -228,35 +228,3 @@ class TestRunResultPickling:
         b = RunResult(status=1, stderr="x\n", traceback="Traceback B")
         assert a.fingerprint() == b.fingerprint()
 
-
-class TestWorldPoolBackends:
-    def test_pool_process_map_runs_module_level_functions(self):
-        world = _jpeg_world()
-        with ProcessExecutor(workers=2) as executor:
-            results = world.pool(workers=2).map(_count_docs, executor=executor)
-        assert results == [2, 2]
-
-    def test_pool_map_backend_override_and_compat(self):
-        """With no executor a map runs on threads over the pool's own
-        forks; an executor passed to one call is used for that call."""
-        pool = _jpeg_world().pool(workers=2)
-        assert pool.map(_count_docs) == [2, 2]
-        with SequentialExecutor() as executor:
-            assert pool.map(_count_docs, executor=executor) == [2, 2]
-        with ProcessExecutor(workers=2) as executor:
-            assert pool.map(_count_docs, executor=executor) == [2, 2]
-
-    def test_pool_process_forks_are_isolated_from_base(self):
-        world = _jpeg_world()
-        world.boot()
-        with ProcessExecutor(workers=2) as executor:
-            world.pool(workers=2).map(_scribble, executor=executor)
-        assert world.read_file("/home/alice/Documents/notes.txt") == b"not a jpeg"
-
-
-def _count_docs(world: World) -> int:
-    return len(world.syscalls().contents("/home/alice/Documents"))
-
-
-def _scribble(world: World) -> None:
-    world.write_file("/home/alice/Documents/notes.txt", b"scribbled")

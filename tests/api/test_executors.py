@@ -97,19 +97,54 @@ class TestProtocol:
             handles = [executor.submit(ExecutorJob(index=i, name=f"j{i}",
                                                    source=HELLO_AMBIENT))
                        for i in range(3)]
-            seen = {h.index: h.result() for h in executor.as_completed()}
+            seen = {h.index: h.result() for h in executor.as_completed(handles)}
         assert sorted(seen) == [0, 1, 2]
         assert all(seen[i].stdout == "hello\n" for i in seen)
         assert all(h.done() for h in handles)
 
-    def test_executor_map_in_submission_order(self):
+    def test_a_handle_finishing_mid_drain_is_yielded_once(self):
+        """Regression: as_completed asked each handle done() twice, once
+        to collect the finished and once the waiting, so a job landing
+        between the two checks was in neither set and a Batch came back
+        short without an error."""
+        from concurrent.futures import Future
+
+        from repro.api.executors import JobHandle
+
+        class LandsWhenChecked(Future):
+            def done(self):
+                finished = super().done()
+                if not finished:
+                    self.set_result("landed")  # the job ends right after
+                return finished
+
+        job = ExecutorJob(index=0, name="j", source=HELLO_AMBIENT)
+        handle = JobHandle(job, LandsWhenChecked())
+        drained = list(SequentialExecutor().as_completed([handle], timeout=5))
+        assert drained == [handle]
+        assert handle.result() == "landed"
+
+    @pytest.mark.parametrize("make", [SequentialExecutor, ThreadExecutor],
+                             ids=["sequential", "thread"])
+    def test_executors_keep_no_results_alive(self, make):
+        """Regression: every submit used to be kept for a no-argument
+        as_completed() drain, so an executor held every RunResult it
+        ever produced outside a drain, even past close()."""
+        import gc
+        import weakref
+
         world = _jpeg_world().boot()
-        with SequentialExecutor() as executor:
-            executor.bind(JobTemplate.for_world(world))
-            jobs = [ExecutorJob(index=i, name=f"j{i}", source=HELLO_AMBIENT)
-                    for i in range(3)]
-            results = executor.map(jobs)
-        assert [r.stdout for r in results] == ["hello\n"] * 3
+        executor = make()
+        executor.bind(JobTemplate.for_world(world))
+        refs = []
+        for i in range(20):
+            handle = executor.submit(ExecutorJob(index=i, name=f"j{i}",
+                                                 source=HELLO_AMBIENT))
+            refs.append(weakref.ref(handle.result()))
+        del handle
+        executor.close()
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 20
 
 
 class TestEquivalence:
@@ -413,19 +448,6 @@ class TestExecutorReuse:
         assert scripted.ok, scripted.stderr
         assert "dog.jpg" in scripted.stdout
 
-    def test_pool_map_accepts_executor_instances(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store")
-        world = _jpeg_world()
-        with StoreExecutor(store=store, workers=2) as executor:
-            results = world.pool(workers=2).map(_count_docs, executor=executor)
-        assert results == [2, 2]
-
-    def test_pool_map_process_failures_are_typed(self):
-        pool = _jpeg_world().pool(workers=1)
-        with pytest.raises(BatchExecutionError, match="map0"), \
-                ProcessExecutor(workers=1) as executor:
-            pool.map(_boom, executor=executor)
-
     def test_shared_executor_batches_do_not_swallow_each_other(self):
         """Regression: Batch drains exactly its own handles, so a
         caller's direct submission (or a sibling batch's) survives the
@@ -438,10 +460,9 @@ class TestExecutorReuse:
             results = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT) \
                                                        .add(WALK_AMBIENT) \
                                                        .run(executor=executor)
-            drained = list(executor.as_completed())
+            assert mine.result().stdout == "hello\n"
         assert len(results) == 2
-        assert [h.job.name for h in drained] == ["mine"]
-        assert mine.result().stdout == "hello\n"
+        assert all(r.ok for r in results)
 
     def test_two_batches_interleaved_on_one_executor(self):
         """Two as_completed streams over one executor each see exactly
@@ -459,14 +480,20 @@ class TestExecutorReuse:
         assert sorted(got_a) == ["a0", "a1", "a2"]
         assert sorted(got_b) == ["b0", "b1", "b2"]
 
-    def test_job_raised_timeout_error_is_a_typed_failure(self):
+    def test_job_raised_timeout_error_is_a_typed_failure(self, monkeypatch):
         """Regression: with no wait-timeout, a TimeoutError out of the
         job itself is a job failure, not a protocol timeout."""
+        from repro.api.executors import local
+
+        def raise_timeout(template, job):
+            raise TimeoutError("simulated network timeout inside the job")
+
+        monkeypatch.setattr(local, "run_job", raise_timeout)
         world = _jpeg_world().boot()
         with ThreadExecutor(workers=1) as executor:
             executor.bind(JobTemplate.for_world(world))
             handle = executor.submit(ExecutorJob(index=0, name="timeouty",
-                                                 fn=_raise_timeout))
+                                                 source=HELLO_AMBIENT))
             with pytest.raises(BatchExecutionError, match="timeouty"):
                 handle.result()
 
@@ -509,14 +536,3 @@ class TestExecutorReuse:
         assert len(built) == 1
         assert all(pool._shutdown for pool in built)
 
-
-def _count_docs(world: World) -> int:
-    return len(world.syscalls().contents("/home/alice/Documents"))
-
-
-def _boom(world: World) -> None:
-    raise RuntimeError("mapped function failed")
-
-
-def _raise_timeout(world: World) -> None:
-    raise TimeoutError("simulated network timeout inside the job")

@@ -174,7 +174,7 @@ class _FakeLink:
 
 #: Already PREPAREd on every fake host (see _fake_pool), so the loop
 #: goes straight to SUBMIT.
-TEMPLATE = WireTemplate("key", {}, b"", store=None)
+TEMPLATE = WireTemplate("key", {}, store=None)
 
 
 def _fake_pool(*links, concurrency=1):

@@ -2,13 +2,15 @@
 
 The acceptance contracts: byte-identical fingerprints vs sequential,
 warm-agent-store boots with zero build ops and no wire transfer,
-host death mid-batch re-shards to survivors (same bytes), and a fully
-dead pool fails typed, naming the job and the hosts tried.
+host death mid-batch re-shards to survivors (same bytes), a fully
+dead pool fails typed, naming the job and the hosts tried, and an
+agent runs the script a SUBMIT names, never Python a peer pickled.
 """
 
 from __future__ import annotations
 
-import operator
+import os
+import pickle
 import threading
 import time
 
@@ -23,6 +25,7 @@ from repro.api import (
     World,
     clear_result_cache,
 )
+from repro.api.executors import JobTemplate
 
 WALK_AMBIENT = """\
 #lang shill/ambient
@@ -66,6 +69,17 @@ CHAOS_AMBIENT = f"#lang shill/ambient\n# {CHAOS_MARKER}\n" + WALK_AMBIENT
 
 def _jpeg_world() -> World:
     return World().for_user("alice").with_jpeg_samples()
+
+
+class _Makedirs:
+    """Pickles to a call of ``os.makedirs(path)``: unpickling it runs
+    code, and the directory appearing proves that it ran."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (os.makedirs, (self.path,))
 
 
 def _batch(n=6, scripts=None):
@@ -129,16 +143,35 @@ class TestEndToEnd:
         # record still describes the one real PREPARE).
         assert boot_after_first == executor.host_boots[addr].source
 
-    def test_fn_jobs_cross_the_wire(self, agent_factory, tmp_path):
-        """Mapped callables ride the SUBMIT blob — they must be picklable
-        *and importable on the agent* (operator.attrgetter is both; a
-        test-local function would not be)."""
+    def test_agents_unpickle_nothing_a_peer_sends(self, agent_factory,
+                                                  tmp_path, monkeypatch):
+        """A job is the script in the SUBMIT header.  A PREPARE blob and
+        a SUBMIT blob flagged ``has_fn`` (where wire v2 carried pickled
+        fixtures and callables) are ignored, so a peer cannot run its
+        own Python on an agent, outside every contract and MAC check."""
+        from repro.remote import wire
+
+        planted = {"PREPARE": tmp_path / "ran-prepare-blob",
+                   "SUBMIT": tmp_path / "ran-submit-blob"}
+        encode_frame = wire.encode_frame
+        encode = RemoteExecutor._encode
+
+        def with_blob(type_, fields=None, blob=b""):
+            if type_ in planted:
+                blob = pickle.dumps(_Makedirs(str(planted[type_])))
+            return encode_frame(type_, fields, blob)
+
+        def with_fn_flag(job, wire_key):
+            return dict(encode(job, wire_key), has_fn=True)
+
+        monkeypatch.setattr(wire, "encode_frame", with_blob)
+        monkeypatch.setattr(RemoteExecutor, "_encode", staticmethod(with_fn_flag))
         _proc, addr = agent_factory("a0")
-        world = _jpeg_world()
         with RemoteExecutor([addr], store=tmp_path / "coord") as executor:
-            results = world.pool(workers=2).map(
-                operator.attrgetter("default_user"), executor=executor)
-        assert results == ["alice", "alice"]
+            [result] = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT) \
+                                                        .run(executor=executor)
+        assert result.ok and result.stdout == "/home/alice/Documents\n"
+        assert [path for path in planted.values() if path.exists()] == []
 
 
 class TestWireIdentity:
@@ -165,6 +198,19 @@ class TestWireIdentity:
             results = _batch(4).run(executor=executor)
         assert all(r.ok for r in results)
         assert len(dispatch_snapshots) == 1
+
+    def test_shill_module_presence_changes_the_template_key(self, tmp_path):
+        """The key hashes snapshot, scripts and default user.  Whether
+        the SHILL module is installed is no ingredient of its own: it is
+        a recipe input, so the two machines snapshot to different
+        digests and their keys differ through them."""
+        with RemoteExecutor(["127.0.0.1:1"], store=tmp_path / "coord") as executor:
+            with_shill, without = (
+                executor._wire_template(JobTemplate.for_world(world.boot()))
+                for world in (World().for_user("alice"),
+                              World().for_user("alice").without_shill()))
+        assert with_shill.fields["snapshot"] != without.fields["snapshot"]
+        assert with_shill.key != without.key
 
 
 class TestAgentStore:

@@ -2,8 +2,8 @@
 
 The mux contracts: N threads share one connection, replies route by
 channel id even arriving out of order; a conversation (PREPARE's
-NEED/BLOB loop) gates new sends without stalling in-flight replies; a
-v1 peer is refused, readably, in either direction; an unsolicited
+NEED/BLOB loop) gates new sends without stalling in-flight replies; an
+older peer is refused, readably, in either direction; an unsolicited
 GOODBYE is a clean retirement, not a crash.
 """
 
@@ -171,18 +171,21 @@ class _MiniAgent:
 
 
 class TestNegotiation:
-    def test_v1_peers_are_refused(self, agent_factory):
-        """Every peer lives in this tree, so the wire speaks v2 only: a
-        v1 agent is refused with a typed error, and a v1 client gets the
-        agent's readable ERROR frame."""
-        agent = _MiniAgent(version=1)
-        with pytest.raises(WireVersionError, match="wire version 1"):
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_older_peers_are_refused(self, agent_factory, old):
+        """Every peer lives in this tree, so the wire speaks v3 only: an
+        older agent is refused with a typed error, and an older client
+        gets the agent's readable ERROR frame.  A v2 peer would key
+        templates on four ingredients (PREPARE under one key, SUBMIT
+        under another) and could send callables."""
+        agent = _MiniAgent(version=old)
+        with pytest.raises(WireVersionError, match=f"wire version {old}"):
             open_link("127.0.0.1", agent.port)
 
-        _proc, addr = agent_factory("v2-only")
+        _proc, addr = agent_factory("v3-only")
         host, port = addr.rsplit(":", 1)
         conn = Connection(socket.create_connection((host, int(port))))
-        reply = conn.request("HELLO", {"version": 1})
+        reply = conn.request("HELLO", {"version": old})
         conn.close()
         assert reply.type == "ERROR"
         assert "no common wire version" in reply.fields["error"]
