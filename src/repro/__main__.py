@@ -39,8 +39,9 @@ Usage::
 
     python -m repro bench profile BENCH/CONFIG [--json]
         Run one Figure 9 cell and report per-syscall / per-vnode-op /
-        per-MAC-hook attribution, dcache hit rates, and the full vs
-        delta snapshot payload sizes the executors would ship.
+        per-MAC-hook attribution, dcache hit rates, and the snapshot
+        payload sizes before and after the run that the executors would
+        ship.
         --list names every profileable cell.
 
     python -m repro store ls [--store DIR]
@@ -249,9 +250,8 @@ def _batch_executor(args: argparse.Namespace) -> "Executor | None":
 
 def _boot_note(executor) -> str:
     """One line for ``batch --verbose``: where this run's workers got
-    their machine — ``memory`` (in-process snapshot / forks), ``store``
-    (a full blob from the persistent store), or ``delta`` (an
-    incremental blob resolved against its base chain)."""
+    their machine — ``memory`` (in-process snapshot / forks) or
+    ``store`` (a blob from the persistent store)."""
     store = getattr(executor, "store", None)
     info = getattr(executor, "boot_info", None)
     if store is None:
@@ -264,13 +264,7 @@ def _boot_note(executor) -> str:
     if digest is None and info is not None:
         digest = info.snapshot
     if digest is not None and store.has(digest):
-        if store.is_delta(digest):
-            from repro.kernel.serialize import delta_base_digest
-
-            base = delta_base_digest(store.load(digest))
-            return (f"repro batch: boot source = delta (blob {digest[:12]} "
-                    f"against base {base[:12]}, store {store.root})")
-        return (f"repro batch: boot source = store (full blob {digest[:12]}, "
+        return (f"repro batch: boot source = store (blob {digest[:12]}, "
                 f"store {store.root})")
     return ("repro batch: boot source = "
             f"{info.source if info is not None else 'unknown'}")
@@ -459,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="machine-readable per-job summary")
     batch_p.add_argument("--verbose", action="store_true",
                          help="print a one-line worker boot-source note "
-                              "(memory/store/delta) on stderr")
+                              "(memory/store) on stderr")
     batch_p.add_argument("--no-cache", action="store_true",
                          help="bypass the (world, script, user) result cache")
     batch_p.add_argument("--lint", choices=("off", "warn", "strict"),

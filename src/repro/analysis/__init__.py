@@ -34,7 +34,6 @@ from repro.analysis.deps import (
     soundness_escapes,
     world_delta_between,
     world_delta_of,
-    world_delta_from_snapshot,
 )
 from repro.analysis.footprint import (
     Diagnostic,
@@ -91,5 +90,4 @@ __all__ = [
     "soundness_escapes",
     "world_delta_between",
     "world_delta_of",
-    "world_delta_from_snapshot",
 ]

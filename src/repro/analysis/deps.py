@@ -235,22 +235,6 @@ def world_delta_of(world) -> WorldDelta:
     return world_delta_between(world.kernel, template)
 
 
-def world_delta_from_snapshot(data: bytes, load_base) -> WorldDelta:
-    """The write set encoded by a v2 **delta snapshot frame**: restore
-    the frame (``load_base`` maps a base digest to its blob, as in
-    :func:`repro.kernel.serialize.restore_any`) and its base, then diff.
-    Full frames diff against themselves, i.e. come back clean."""
-    from repro.kernel.serialize import delta_base_digest, is_delta, restore_any
-
-    if not is_delta(data):
-        return WorldDelta()
-    # Restore the base twice: apply_kernel_delta (inside restore_any)
-    # adopts base vnodes by reference, so the diff needs a private copy.
-    kernel = restore_any(data, load_base)
-    base = restore_any(load_base(delta_base_digest(data)), load_base)
-    return world_delta_between(kernel, base)
-
-
 # ----------------------------------------------------------------------
 # the decision procedure
 # ----------------------------------------------------------------------
@@ -381,7 +365,6 @@ __all__ = [
     "WorldDelta",
     "world_delta_between",
     "world_delta_of",
-    "world_delta_from_snapshot",
     "may_depend",
     "prefixes_intersect",
     "expand_home",

@@ -52,8 +52,7 @@ def _store_worker_init(store_root: str, snapshot_digest: str,
                        scripts: tuple, default_user: str) -> None:
     """Pool initializer for store-backed workers: boot from the on-disk
     blob instead of a pickled payload in ``initargs`` — initargs carry a
-    path and a digest, not a machine.  ``restore`` resolves delta blobs
-    against their base chain in the same store."""
+    path and a digest, not a machine."""
     from repro.kernel.store import SnapshotStore
 
     _WORKER_STATE["template"] = JobTemplate(

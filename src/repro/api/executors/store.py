@@ -77,10 +77,6 @@ class StoreBootMixin:
         #: template token -> blob digest, so one executor never snapshots
         #: the same machine state twice.
         self._snapshots: dict[tuple, str] = {}
-        #: Digest of the last *pristine* full blob this executor stored
-        #: or booted from — the base that mutated-template snapshots are
-        #: delta-encoded against.
-        self._delta_base: "str | None" = None
 
     # -- coordinator-side boot ---------------------------------------------
 
@@ -163,42 +159,19 @@ class StoreBootMixin:
         # Downstream consumers (workers, agents) can boot from the very
         # blob we restored — no re-pickle.
         self._snapshots[JobTemplate.token_for(world)] = snapshot_digest
-        self._delta_base = snapshot_digest
         return BootInfo(source="store", snapshot=snapshot_digest,
                         build_ops=build_ops)
 
-    def _encode_snapshot(self, template: JobTemplate) -> bytes:
-        """The template as blob bytes: a delta against the last pristine
-        full blob when the template has mutated away from one, a full
-        frame otherwise (and as the fallback whenever delta encoding
-        cannot apply)."""
-        from repro.kernel.serialize import (
-            SnapshotError,
-            snapshot_kernel,
-            snapshot_kernel_delta,
-        )
-
-        base_digest = self._delta_base
-        if (template.digest is None and base_digest is not None
-                and self.store.has(base_digest)):
-            try:
-                base = self.store.restore(base_digest)
-                return snapshot_kernel_delta(template.kernel, base, base_digest)
-            except SnapshotError:
-                pass  # evicted/stale base: fall back to a full frame
-        return snapshot_kernel(template.kernel)
-
     def _snapshot_into_store(self, template: JobTemplate) -> str:
         """Ensure the template's snapshot is a store blob; link its world
-        digest so future processes boot from disk.  Pristine templates
-        store full frames (they are link targets and delta bases);
-        mutated ones store ~KB deltas against the pristine blob."""
+        digest so future processes boot from disk."""
+        from repro.kernel.serialize import snapshot_kernel
+
         snapshot_digest = self._snapshots.get(template.token)
         if snapshot_digest is None:
-            snapshot_digest = self.store.put(self._encode_snapshot(template))
+            snapshot_digest = self.store.put(snapshot_kernel(template.kernel))
             self._snapshots[template.token] = snapshot_digest
         if template.digest is not None:
-            self._delta_base = snapshot_digest
             # template.digest is only set while the world is pristine
             # (JobTemplate.for_world): a mutated machine must never be
             # linked as "what this configuration boots to".

@@ -7,9 +7,8 @@ the numbers ``benchmarks/baseline_ops.json`` aggregates, broken out per
 operation name so a perf regression (or win) is attributable to the
 path that caused it.  Alongside the op attribution it measures the
 **dispatch payload** the executors would ship for this cell's machine:
-the full snapshot before the run, the full snapshot after, and the
-delta frame encoding only the run's divergence — the bytes a
-store/remote worker boots from when the template has mutated.
+the snapshot before the run and the snapshot after it — the bytes a
+store/remote worker boots from.
 
 The profile is deterministic except for wall-clock; ``--json`` emits
 the machine-readable form the CI smoke step checks.
@@ -29,15 +28,10 @@ def profile_cell(bench: str, config: str) -> dict[str, Any]:
     Returns a plain-data report: per-name ``syscalls`` / ``vnode_ops`` /
     ``mac_hooks`` deltas for the timed region, aggregate ``ops`` (the
     baseline_ops.json counters), ``dcache`` hit/miss counts, wall-clock
-    ``seconds``, and ``payload`` sizes (full-before, full-after, delta)
-    in bytes.
+    ``seconds``, and ``payload`` sizes (``before`` and ``after`` the
+    run) in bytes.
     """
-    from repro.kernel.serialize import (
-        restore_kernel,
-        snapshot_digest,
-        snapshot_kernel,
-        snapshot_kernel_delta,
-    )
+    from repro.kernel.serialize import snapshot_kernel
 
     try:
         make = WORKLOADS[bench][config]
@@ -50,13 +44,7 @@ def profile_cell(bench: str, config: str) -> dict[str, Any]:
     if kernel is None:
         raise RuntimeError(f"cell {bench}/{config} exposes no kernel to profile")
 
-    # The pre-run snapshot is both the payload baseline and the delta
-    # base: what a store/remote worker would boot from today, and what
-    # the post-run delta diverges against.
     pre_payload = snapshot_kernel(kernel)
-    pre_digest = snapshot_digest(kernel)
-    base = restore_kernel(pre_payload)
-
     before_trace = kernel.stats.trace()
     before_ops = kernel.stats.snapshot()
     start = time.perf_counter()
@@ -66,7 +54,6 @@ def profile_cell(bench: str, config: str) -> dict[str, Any]:
     after_ops = kernel.stats.snapshot()
 
     post_payload = snapshot_kernel(kernel)
-    delta_payload = snapshot_kernel_delta(kernel, base, pre_digest)
 
     trace = type(kernel.stats).trace_delta(before_trace, after_trace)
     ops = type(kernel.stats).delta(before_ops, after_ops)
@@ -83,9 +70,8 @@ def profile_cell(bench: str, config: str) -> dict[str, Any]:
             "misses": ops.get("dcache_misses", 0),
         },
         "payload": {
-            "full_before": len(pre_payload),
-            "full_after": len(post_payload),
-            "delta": len(delta_payload),
+            "before": len(pre_payload),
+            "after": len(post_payload),
         },
     }
 
@@ -106,12 +92,8 @@ def render_profile(report: dict[str, Any]) -> str:
     dcache = report["dcache"]
     lines.append(f"{'dcache':15s} hits={dcache['hits']} misses={dcache['misses']}")
     payload = report["payload"]
-    full = payload["full_after"]
-    delta = payload["delta"]
-    saved = (1 - delta / full) * 100 if full else 0.0
-    lines.append(
-        f"{'payload':15s} full={full} B  delta={delta} B "
-        f"({saved:.1f}% smaller; pre-run full={payload['full_before']} B)")
+    lines.append(f"{'payload':15s} before={payload['before']} B  "
+                 f"after={payload['after']} B")
     return "\n".join(lines)
 
 

@@ -19,10 +19,13 @@ Layout (everything under ``root``)::
 
 Guarantees:
 
-* **atomic writes** — blobs and links are written to a unique temp file
-  and ``os.replace``\\ d into place, so a concurrent reader never sees a
-  torn file and racing writers of the same digest agree byte-for-byte
-  (content addressing makes the race benign);
+* **atomic writes** — blobs and links are written to a temp file
+  named per process (``.<name>.<pid>.tmp``) and ``os.replace``\\ d into
+  place, so a concurrent reader never sees a torn file and racing
+  writer *processes* of the same digest agree byte-for-byte (content
+  addressing makes that race benign).  The name is not unique per
+  *thread*: two threads of one process writing the same blob or link
+  share one temp file and can race on ``os.replace``;
 * **LRU cap** — at most ``max_blobs`` blobs are retained; ``put`` and
   ``get`` refresh a blob's mtime and eviction drops the stalest first
   (an evicted snapshot is just rebuilt and re-put on the next miss);
@@ -152,24 +155,12 @@ class SnapshotStore:
         return payload
 
     def restore(self, digest: str):
-        """Restore the machine stored under ``digest``.
+        """Restore the machine stored under ``digest`` — the one call
+        worker processes and agents boot through.  A missing or stale
+        blob is a :class:`~repro.kernel.serialize.SnapshotError`."""
+        from repro.kernel.serialize import restore_kernel
 
-        Full blobs restore directly; delta blobs resolve their base
-        chain against this store (every base a delta references must be
-        a blob here, or the restore is a
-        :class:`~repro.kernel.serialize.SnapshotError`).  This is the
-        one call worker processes and agents boot through, so a blob's
-        kind is an encoding detail, never a caller concern.
-        """
-        from repro.kernel.serialize import restore_any
-
-        return restore_any(self.load(digest), self.load)
-
-    def is_delta(self, digest: str) -> bool:
-        """Is the stored blob an incremental (delta) frame?"""
-        from repro.kernel.serialize import is_delta
-
-        return is_delta(self.load(digest))
+        return restore_kernel(self.load(digest))
 
     # -- wire transfer -----------------------------------------------------
 
@@ -262,9 +253,8 @@ class SnapshotStore:
         for world, snapshot in links.items():
             by_blob.setdefault(snapshot, []).append(world)
         out = []
-        for path in self._blob_paths_stalest_first():
+        for path, stat in self._blobs_stalest_first():
             digest = path.name[: -len(_BLOB_SUFFIX)]
-            stat = path.stat()
             out.append(StoreEntry(digest, stat.st_size, stat.st_mtime,
                                   tuple(sorted(by_blob.get(digest, ())))))
         return out
@@ -292,60 +282,32 @@ class SnapshotStore:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _blob_paths_stalest_first(self) -> list[Path]:
-        paths = list(self._blobs.glob(f"*{_BLOB_SUFFIX}"))
+    def _blobs_stalest_first(self) -> "list[tuple[Path, os.stat_result]]":
+        """(path, stat) per blob, stalest first.  Each path is stat'ed
+        once; a blob another process unlinked after the glob is skipped
+        (N processes share one store with no locking)."""
+        blobs = []
+        for path in self._blobs.glob(f"*{_BLOB_SUFFIX}"):
+            try:
+                blobs.append((path, path.stat()))
+            except FileNotFoundError:
+                continue
         # mtime first, digest as the deterministic tie-break (filesystem
         # timestamps are coarse enough for same-second writes to tie).
-        return sorted(paths, key=lambda p: (p.stat().st_mtime, p.name))
+        blobs.sort(key=lambda blob: (blob[1].st_mtime, blob[0].name))
+        return blobs
 
     def _evict(self, limit: "int | None" = None) -> list[str]:
-        """Drop stalest blobs over ``limit`` — but never a blob some
-        *live* delta frame's chain is based on (evicting the base would
-        turn every restore through that delta into a
-        :class:`~repro.kernel.serialize.SnapshotError`).  The pin set is
-        recomputed after each eviction, so once a delta itself goes its
-        base becomes evictable; when everything over the cap is pinned
-        the store stays over cap rather than orphan a chain."""
+        """Drop the stalest blobs over ``limit`` (default:
+        ``max_blobs``); returns their digests, stalest first."""
         limit = self.max_blobs if limit is None else limit
+        blobs = self._blobs_stalest_first()
         evicted: list[str] = []
-        while True:
-            paths = self._blob_paths_stalest_first()
-            if len(paths) <= limit:
-                break
-            pinned = self._chain_bases(paths)
-            victim = next(
-                (p for p in paths
-                 if p.name[: -len(_BLOB_SUFFIX)] not in pinned), None)
-            if victim is None:
-                break
-            victim.unlink(missing_ok=True)
-            evicted.append(victim.name[: -len(_BLOB_SUFFIX)])
+        for path, _stat in blobs[: max(len(blobs) - limit, 0)]:
+            path.unlink(missing_ok=True)
+            evicted.append(path.name[: -len(_BLOB_SUFFIX)])
             self.stats["evictions"] += 1
         return evicted
-
-    def _chain_bases(self, paths: "list[Path]") -> set[str]:
-        """Every digest some live delta blob directly references.  Each
-        link of a longer chain is itself a live delta pinning *its*
-        base, so direct references cover chains transitively.  Only the
-        72-byte frame header is read per blob — no op counters, no
-        payload decode."""
-        from repro.kernel.serialize import delta_base_digest, is_delta
-
-        # magic(6) + version(1) + kind(1) + the base digest hex.
-        head_len = 8 + _DIGEST_HEX_LEN
-        pinned: set[str] = set()
-        for path in paths:
-            try:
-                with path.open("rb") as fh:
-                    head = fh.read(head_len)
-            except OSError:
-                continue
-            try:
-                if is_delta(head):
-                    pinned.add(delta_base_digest(head))
-            except SnapshotError:
-                continue
-        return pinned
 
     def _atomic_write(self, path: Path, payload: bytes) -> None:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

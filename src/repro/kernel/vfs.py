@@ -85,8 +85,8 @@ class Label:
             self._slots.pop(policy, None)
             if not self._slots:
                 # Normalise back to the unlabelled state: a label whose
-                # last slot is cleared must snapshot (and delta-encode)
-                # identically to one that was never set.
+                # last slot is cleared must snapshot identically to
+                # one that was never set.
                 self._slots = None
 
     def clone(self) -> "Label":

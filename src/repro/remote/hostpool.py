@@ -332,11 +332,10 @@ class HostPool:
                  log: "Callable[..., None]", on_ready: "Callable[..., None]",
                  ) -> None:
         """PREPARE ``host`` for ``template`` once: ship the snapshot
-        digest, and the bytes of each blob the host's store misses (a
-        delta snapshot makes the NEED/BLOB exchange a short loop over
-        its chain).  ``host.lock`` serialises concurrent preparers; the
-        link's ``converse`` keeps the exchange exclusive against
-        concurrent SUBMIT sends."""
+        digest, and the blob's bytes if the host's store misses it (one
+        NEED/BLOB round).  ``host.lock`` serialises concurrent
+        preparers; the link's ``converse`` keeps the exchange exclusive
+        against concurrent SUBMIT sends."""
         if template.key in host.prepared:
             return
         with host.lock:

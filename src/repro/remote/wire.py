@@ -47,14 +47,15 @@ meet either side's floor, raises :class:`WireVersionError` (the agent
 also refuses with an ERROR frame so mismatched coordinators get a
 readable diagnostic instead of a codec explosion).
 
-A PREPARE's NEED/BLOB exchange walks a snapshot's delta chain;
-:class:`BlobPull` is that walk and its digest check, with the I/O left
-to whoever drives it (the sync agent, the asyncio gateway).  On the
-client side, :class:`ChannelMux` wraps a handshaken connection: a
-background reader routes each reply to the waiter that owns its
-channel, so any number of threads can :meth:`~ChannelMux.request`
-concurrently; multi-frame conversations (:meth:`~ChannelMux.converse`)
-briefly gate new sends while in-flight replies continue to drain.
+A PREPARE's NEED/BLOB exchange ships the snapshot blob if the peer's
+store misses it, in at most one NEED round; :class:`BlobPull` is that
+check and the BLOB's digest check, with the I/O left to whoever drives
+it (the sync agent, the asyncio gateway).  On the client side,
+:class:`ChannelMux` wraps a handshaken connection: a background reader
+routes each reply to the waiter that owns its channel, so any number of
+threads can :meth:`~ChannelMux.request` concurrently; multi-frame
+conversations (:meth:`~ChannelMux.converse`) briefly gate new sends
+while in-flight replies continue to drain.
 """
 
 from __future__ import annotations
@@ -71,25 +72,27 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
-from repro.kernel.serialize import delta_base_digest, is_delta
 
 if TYPE_CHECKING:
     from repro.kernel.store import SnapshotStore
 
-#: Bumped whenever frames or the message vocabulary change incompatibly.
-#: Version 2 added channel-tagged frames (concurrent jobs on one
-#: connection); version 3 made a job one SHILL script — no pickled
-#: callable in SUBMIT, no fixtures blob in PREPARE, and a template key
-#: over three ingredients instead of four.  Both ends negotiate down to
-#: the highest version both speak, and refuse to talk below
-#: :data:`MIN_WIRE_VERSION`.
-WIRE_VERSION = 3
+#: Bumped whenever frames, the message vocabulary or the blobs they
+#: carry change incompatibly.  Version 2 added channel-tagged frames
+#: (concurrent jobs on one connection); version 3 made a job one SHILL
+#: script — no pickled callable in SUBMIT, no fixtures blob in PREPARE,
+#: and a template key over three ingredients instead of four; version 4
+#: ships blobs in snapshot format v3 (one frame kind).  Both ends
+#: negotiate down to the highest version both speak, and refuse to talk
+#: below :data:`MIN_WIRE_VERSION`.
+WIRE_VERSION = 4
 
 #: The oldest version this end still speaks.  Every peer lives in this
-#: tree, so the floor is the current version: an older peer would name
-#: templates by another key (and might send callables), so it is
-#: refused with a readable :class:`WireVersionError`.
-MIN_WIRE_VERSION = 3
+#: tree, so the floor is the current version: an older peer ships
+#: snapshot frames this end's codec refuses, which would surface as a
+#: failed restore on a healthy host (a v2 peer also names templates by
+#: another key), so it is refused at HELLO with a readable
+#: :class:`WireVersionError`.
+MIN_WIRE_VERSION = 4
 
 #: Hard cap on one frame (header + blob).  Snapshot blobs are hundreds
 #: of KiB; 256 MiB is comfortably above any real machine image while
@@ -339,47 +342,41 @@ def connect(host: str, port: int, timeout: "float | None" = 10.0,
 # ---------------------------------------------------------------------------
 
 class BlobPull:
-    """The NEED/BLOB walk of one PREPARE: which blobs of ``snapshot``'s
-    delta chain the ``store`` misses, and the check that each BLOB
-    carries the digest asked for.  It does no wire I/O; the caller
-    drives it::
+    """The NEED/BLOB check of one PREPARE: whether the ``store`` misses
+    ``snapshot``, and the check that the BLOB answering the NEED carries
+    the digest asked for.  It does no wire I/O; the caller drives it::
 
         pull = BlobPull(store, snapshot)
         while (digest := pull.next_need()) is not None:
             ...send NEED {snapshot: digest}, read the reply...
             pull.accept(reply)
 
-    ``pulled`` says whether any blob crossed the wire (a READY's
-    ``source`` is then ``"wire"``).
+    A snapshot is one self-contained blob, so the loop runs at most one
+    NEED round.  ``pulled`` says whether the blob crossed the wire (a
+    READY's ``source`` is then ``"wire"``).
     """
 
     def __init__(self, store: "SnapshotStore", snapshot: str) -> None:
         self.store = store
         self.pulled = False
         self._digest = snapshot
-        self._payload = store.get(snapshot)
+        # A get, not a has: a store hit refreshes the blob's LRU
+        # position and counts in the store's stats.
+        self._present = store.get(snapshot) is not None
 
     def next_need(self) -> "str | None":
-        """The next digest to NEED, or ``None`` once the store holds the
-        whole chain (a delta restores against its bases, so every link
-        must be local before restore)."""
-        while self._payload is not None:
-            if not is_delta(self._payload):
-                return None
-            self._digest = delta_base_digest(self._payload)
-            self._payload = self.store.get(self._digest)
-        return self._digest
+        """The digest to NEED, or ``None`` once the store holds it."""
+        return None if self._present else self._digest
 
     def accept(self, reply: Message) -> None:
-        """Store the BLOB answering the last NEED.  The export frame's
-        digest is verified before the bytes are trusted, and it must be
-        exactly the blob the NEED named."""
+        """Store the BLOB answering the NEED.  The export frame's digest
+        is verified before the bytes are trusted, and it must be exactly
+        the blob the NEED named."""
         imported = self.store.import_blob(reply.expect("BLOB").blob)
         if imported != self._digest:
             raise WireError(f"BLOB carried {imported[:12]}…, "
                             f"NEED named {self._digest[:12]}…")
-        self.pulled = True
-        self._payload = self.store.load(imported)
+        self.pulled = self._present = True
 
 
 # ---------------------------------------------------------------------------

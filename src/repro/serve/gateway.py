@@ -12,9 +12,9 @@ agent wire protocol (:mod:`repro.remote.wire`) on both faces:
   and PREPAREs each from the gateway's snapshot store over ordinary
   sync links (a thread pool keeps the event loop unblocked);
 * **northbound**, it *is* an agent, as far as any client can tell: it
-  answers HELLO with version negotiation, services PREPARE (pulling
-  missed blobs — delta chains included — into its own store exactly
-  like an agent would), and replies RESULT frames channel-tagged, so
+  answers HELLO with version negotiation, services PREPARE (pulling a
+  missed blob into its own store exactly like an agent would), and
+  replies RESULT frames channel-tagged, so
   :class:`~repro.api.executors.serve.ServeExecutor` is just a
   :class:`~repro.api.executors.remote.RemoteExecutor` pointed at one
   very large host.
@@ -285,9 +285,9 @@ class Gateway:
     async def _handle_prepare(self, session: "Gateway._Session",
                               reader: asyncio.StreamReader,
                               msg: Message) -> None:
-        """Take custody of one template: pull every blob our store
-        misses (the delta chain included, exactly like an agent), keep
-        the PREPARE ingredients for relaying, reply READY."""
+        """Take custody of one template: pull its blob if our store
+        misses it (exactly like an agent), keep the PREPARE ingredients
+        for relaying, reply READY."""
         fields = msg.fields
         snapshot = fields["snapshot"]
         wire_key = template_key(fields)

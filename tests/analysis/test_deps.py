@@ -16,7 +16,6 @@ from repro.analysis.deps import (
     prefixes_intersect,
     soundness_escapes,
     world_delta_between,
-    world_delta_from_snapshot,
     world_delta_of,
 )
 from repro.analysis.footprint import ExportFootprint, Footprint, ParamFootprint
@@ -230,20 +229,3 @@ class TestWorldDeltaAnalyzer:
 
     def test_world_delta_of_unbooted_world_is_unknown(self):
         assert world_delta_of(World()).unknown
-
-    def test_delta_snapshot_frame_recovers_the_write_set(self):
-        import hashlib
-
-        from repro.kernel.serialize import (restore_kernel, snapshot_kernel,
-                                            snapshot_kernel_delta)
-        from repro.world.image import WorldBuilder
-
-        kernel = World().boot().kernel
-        payload = snapshot_kernel(kernel)
-        digest = hashlib.sha256(payload).hexdigest()
-        assert world_delta_from_snapshot(payload, lambda d: payload).clean
-        mutant = kernel.fork()
-        WorldBuilder(mutant).write_file("/tmp/notes.txt", b"delta payload")
-        frame = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        delta = world_delta_from_snapshot(frame, lambda d: payload)
-        assert "/tmp/notes.txt" in delta.writes

@@ -380,6 +380,30 @@ class TestStoreExecutor:
         _snap, relinked = store.resolve_world(digest)
         assert relinked["world_version"] == WORLD_IMAGE_VERSION
 
+    def test_blobs_from_another_codec_version_rebuild(self, tmp_path):
+        """A store written by another snapshot codec (CI's cached store,
+        a long-lived agent's) reads as a miss: ``prepare`` rebuilds and
+        re-links over the stale blob instead of failing the batch."""
+        from repro.kernel.serialize import SNAPSHOT_VERSION, _MAGIC
+
+        clear_boot_cache()
+        store = SnapshotStore(tmp_path / "store")
+        with StoreExecutor(store=store) as executor:
+            executor.prepare(_jpeg_world())
+        digest = _jpeg_world().digest
+        snapshot, meta = store.resolve_world(digest)
+        frame = bytearray(store.load(snapshot))
+        frame[len(_MAGIC)] = SNAPSHOT_VERSION - 1
+        stale = store.put(bytes(frame))
+        store.link_world(digest, stale, meta)
+        clear_boot_cache()
+        with StoreExecutor(store=store) as executor:
+            executor.prepare(_jpeg_world())
+            assert executor.boot_info.source == "build"
+        relinked, _meta = store.resolve_world(digest)
+        assert relinked != stale
+        assert store.restore(relinked).stats.snapshot() == meta["stats"]
+
     def test_prepare_reports_cached_for_warm_boot_cache(self):
         """A warm in-process boot cache forked the template — prepare
         must not claim the full build cost happened in this call."""

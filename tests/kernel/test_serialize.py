@@ -22,15 +22,11 @@ from repro.casestudies.findgrep import usr_src_world
 from repro.casestudies.grading import grading_world
 from repro.casestudies.package_mgmt import emacs_world
 from repro.kernel.serialize import (
+    SNAPSHOT_VERSION,
     SnapshotError,
-    apply_kernel_delta,
-    delta_base_digest,
-    is_delta,
-    restore_any,
     restore_kernel,
     snapshot_digest,
     snapshot_kernel,
-    snapshot_kernel_delta,
 )
 
 #: name -> (world builder, a path that must survive the round trip)
@@ -176,15 +172,17 @@ class TestSnapshotCodec:
         """A valid header over a garbage body (truncated file, bit rot)
         raises SnapshotError, not a raw pickle exception."""
         good = snapshot_kernel(World().boot().kernel)
-        # Header is magic + version + kind (8 bytes); everything after
-        # is pickle body.
-        for blob in (good[:9], good[: len(good) // 2], good[:8] + b"garbage"):
+        # Header is magic + version (7 bytes); everything after is
+        # pickle body.
+        for blob in (good[:8], good[: len(good) // 2], good[:7] + b"garbage"):
             with pytest.raises(SnapshotError, match="decode"):
                 restore_kernel(blob)
         with pytest.raises(SnapshotError, match="truncated"):
-            restore_kernel(good[:8])  # header-only: no body at all
-        with pytest.raises(SnapshotError, match="kind"):
-            restore_kernel(good[:7] + b"garbage")  # clobbered kind byte
+            restore_kernel(good[:7])  # header-only: no body at all
+        with pytest.raises(SnapshotError, match="version"):
+            # A blob from the previous codec: every consumer reads this
+            # error as a cache miss and rebuilds.
+            restore_kernel(good[:6] + bytes([SNAPSHOT_VERSION - 1]) + good[7:])
 
     def test_live_state_is_dropped_like_a_fork(self):
         """Live processes and listeners are per-run state: a restored
@@ -205,111 +203,6 @@ class TestSnapshotCodec:
         from repro.world.fixtures import EMACS_HOST
 
         assert EMACS_HOST in restored.network._services
-
-
-class TestDeltaCodec:
-    """Incremental snapshots: a mutated fork ships as a small delta
-    frame that, applied to its base, restores the same machine a full
-    snapshot would."""
-
-    @staticmethod
-    def _write(kernel, path: str, data: bytes) -> None:
-        from repro.kernel import O_CREAT, O_WRONLY
-
-        sys = kernel.syscalls(kernel.spawn_process("root", "/"))
-        fd = sys.open(path, O_WRONLY | O_CREAT)
-        try:
-            sys.write(fd, data)
-        finally:
-            sys.close(fd)
-
-    def _base_and_mutant(self):
-        """(base payload, its digest, a fork that wrote one file)."""
-        import hashlib
-
-        kernel = World().with_usr_src(subsystems=1, files_per_dir=3).boot().kernel
-        payload = snapshot_kernel(kernel)
-        digest = hashlib.sha256(payload).hexdigest()
-        mutant = kernel.fork()
-        self._write(mutant, "/tmp/notes.txt", b"delta payload")
-        return payload, digest, mutant
-
-    def test_delta_restores_the_same_machine_as_a_full_frame(self):
-        payload, digest, mutant = self._base_and_mutant()
-        delta = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        via_delta = restore_any(delta, lambda _d: payload)
-        via_full = restore_kernel(snapshot_kernel(mutant))
-        assert _watermarks(via_delta) == _watermarks(via_full)
-        assert via_delta.stats.snapshot() == via_full.stats.snapshot()
-        session = Session(via_delta, user="root")
-        assert session.runtime.sys.read_whole("/tmp/notes.txt") == b"delta payload"
-        assert session.runtime.sys.read_whole("/usr/src/sys00/dir0/file0.c") \
-            == Session(via_full, user="root").runtime.sys.read_whole(
-                "/usr/src/sys00/dir0/file0.c")
-
-    def test_delta_is_much_smaller_than_full(self):
-        payload, digest, mutant = self._base_and_mutant()
-        delta = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        full = snapshot_kernel(mutant)
-        assert len(delta) < len(full) / 2
-
-    def test_frame_kind_introspection(self):
-        payload, digest, mutant = self._base_and_mutant()
-        delta = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        assert is_delta(delta) and not is_delta(payload)
-        assert delta_base_digest(delta) == digest
-
-    def test_kind_mismatches_stay_inside_the_error_contract(self):
-        payload, digest, mutant = self._base_and_mutant()
-        delta = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        with pytest.raises(SnapshotError, match="not a delta"):
-            delta_base_digest(payload)
-        with pytest.raises(SnapshotError, match="not a delta"):
-            apply_kernel_delta(payload, restore_kernel(payload))
-        with pytest.raises(SnapshotError, match="base"):
-            restore_kernel(delta)  # a delta needs restore_any
-        with pytest.raises(SnapshotError, match="no base loader"):
-            restore_any(delta)
-
-    def test_bad_base_digest_is_rejected_at_encode_time(self):
-        payload, _digest, mutant = self._base_and_mutant()
-        with pytest.raises(SnapshotError, match="hex chars"):
-            snapshot_kernel_delta(mutant, restore_kernel(payload), "abc123")
-
-    def test_delta_against_the_wrong_base_is_rejected(self):
-        """External vnode references must resolve in the supplied base;
-        a machine without those vids must make the apply fail loudly.
-        (Writing *inside* /usr/src leaves its sibling subtrees unchanged,
-        so they externalize at post-boot vids no bare world has.)"""
-        payload, digest, mutant = self._base_and_mutant()
-        self._write(mutant, "/usr/src/sys00/dir0/extra.c", b"/* new */")
-        delta = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        stranger = World().boot().kernel
-        with pytest.raises(SnapshotError, match="absent from the base"):
-            apply_kernel_delta(delta, stranger)
-
-    def test_store_resolves_delta_chains(self, tmp_path):
-        """SnapshotStore.restore follows delta → delta → full chains,
-        and is_delta reports frame kinds from the store."""
-        from repro.kernel.store import SnapshotStore
-
-        payload, digest, mutant = self._base_and_mutant()
-        store = SnapshotStore(tmp_path)
-        assert store.put(payload) == digest
-        delta1 = snapshot_kernel_delta(mutant, restore_kernel(payload), digest)
-        d1 = store.put(delta1)
-
-        second = store.restore(d1)
-        self._write(second, "/tmp/more.txt", b"second generation")
-        delta2 = snapshot_kernel_delta(second, store.restore(d1), d1)
-        d2 = store.put(delta2)
-
-        assert store.is_delta(d1) and store.is_delta(d2)
-        assert not store.is_delta(digest)
-        restored = store.restore(d2)
-        session = Session(restored, user="root")
-        assert session.runtime.sys.read_whole("/tmp/notes.txt") == b"delta payload"
-        assert session.runtime.sys.read_whole("/tmp/more.txt") == b"second generation"
 
 
 # ---------------------------------------------------------------------------

@@ -95,103 +95,26 @@ class TestEviction:
         with pytest.raises(ValueError):
             SnapshotStore(tmp_path, max_blobs=0)
 
+    def test_a_blob_removed_by_another_process_is_skipped(self, store,
+                                                          monkeypatch):
+        """N processes share a store with no locking: a blob another
+        process unlinks between the glob and the stat (a racing
+        evictor, ``repro store gc``) must not fail ``put`` or
+        ``entries``."""
+        from pathlib import Path
 
-def _fake_delta(base_digest: str, payload: bytes = b"body") -> bytes:
-    """A frame that *parses* as a delta (GC only reads the 72-byte header,
-    so the body never has to decode)."""
-    from repro.kernel.serialize import SNAPSHOT_VERSION, _KIND_DELTA, _MAGIC
-
-    return _MAGIC + bytes([SNAPSHOT_VERSION]) + _KIND_DELTA \
-        + base_digest.encode("ascii") + payload
-
-
-class TestDeltaChainPinning:
-    """Eviction must never orphan a delta by dropping the base it was
-    encoded against — a live delta pins its base blob."""
-
-    def test_lru_skips_a_pinned_base(self, store):
-        base = store.put(b"\xffbase-full-frame")
-        delta = store.put(_fake_delta(base))
-        fillers = [store.put(bytes([i])) for i in range(2)]
-        _age(store, base, 100)  # base is by far the stalest...
-        for offset, digest in enumerate(fillers):
-            _age(store, digest, 50 - offset * 10)
+        gone = store.blob_path(store.put(b"removed elsewhere"))
+        gone.unlink()
+        digests = [store.put(bytes([i])) for i in range(4)]
+        for offset, digest in enumerate(digests):
+            _age(store, digest, 100 - offset * 10)  # digests[0] is stalest
+        glob = Path.glob
+        monkeypatch.setattr(
+            Path, "glob", lambda self, pattern: [*glob(self, pattern), gone])
         store.put(b"one-too-many")
-        # ...yet the delta keeps it alive; the stalest *unpinned* blob goes.
-        assert store.has(base) and store.has(delta)
-        assert not store.has(fillers[0])
-
-    def test_gc_keep_skips_pinned_bases(self, store):
-        base = store.put(b"\xffbase-full-frame")
-        delta = store.put(_fake_delta(base))
-        _age(store, base, 100)
-        _age(store, delta, 10)
-        evicted = store.gc(keep=1)
-        # The stalest blob is the base, but it is pinned; the delta (its
-        # only dependant) is the one that goes.
-        assert store.has(base)
-        assert evicted == [delta]
-
-    def test_gc_drains_a_chain_leaf_first(self, store):
-        """The pin set is recomputed after each eviction: draining to
-        zero evicts the delta first, *then* its newly-unpinned base —
-        never the base while the delta is still live."""
-        base = store.put(b"\xffbase-full-frame")
-        delta = store.put(_fake_delta(base))
-        _age(store, base, 100)  # stalest, yet pinned until the delta goes
-        evicted = store.gc(keep=0)
-        assert evicted == [delta, base]
-        assert len(store) == 0
-
-    def test_base_becomes_evictable_once_the_delta_is_gone(self, store):
-        base = store.put(b"\xffbase-full-frame")
-        delta = store.put(_fake_delta(base))
-        store.blob_path(delta).unlink()
-        _age(store, base, 100)
-        for i in range(3):
-            digest = store.put(bytes([i]))
-            _age(store, digest, 10 - i)
-        store.put(b"one-too-many")
-        assert not store.has(base)
-
-    def test_chain_middle_links_are_pinned_transitively(self, store):
-        """full ← delta1 ← delta2: delta1 is both a delta and a base; as
-        long as delta2 lives, both earlier links must survive."""
-        base = store.put(b"\xffbase-full-frame")
-        delta1 = store.put(_fake_delta(base, b"level one"))
-        delta2 = store.put(_fake_delta(delta1, b"level two"))
-        _age(store, base, 100)
-        _age(store, delta1, 90)
-        filler = store.put(b"victim")
-        _age(store, filler, 70)
-        store.put(b"one-too-many")
-        assert store.has(base) and store.has(delta1) and store.has(delta2)
-        assert not store.has(filler)
-
-    def test_restore_survives_eviction_pressure(self, tmp_path):
-        """Regression: with naive LRU the aged-out base was evicted and
-        ``restore`` of the still-live delta raised ``SnapshotError``."""
-        from repro.api import World
-        from repro.kernel.serialize import (restore_kernel, snapshot_kernel,
-                                            snapshot_kernel_delta)
-
-        store = SnapshotStore(tmp_path / "store", max_blobs=4)
-        kernel = World().boot().kernel
-        payload = snapshot_kernel(kernel)
-        base = store.put(payload)
-        mutant = kernel.fork()
-        sys = mutant.syscalls(mutant.spawn_process("root", "/"))
-        sys.write_whole("/tmp/notes.txt", b"delta payload")
-        delta = store.put(
-            snapshot_kernel_delta(mutant, restore_kernel(payload), base))
-        fillers = [store.put(bytes([i])) for i in range(2)]
-        _age(store, base, 100)  # the base would be LRU's first victim
-        for offset, digest in enumerate(fillers):
-            _age(store, digest, 50 - offset * 10)
-        store.put(b"eviction pressure")
-        restored = store.restore(delta)
-        check = restored.syscalls(restored.spawn_process("root", "/"))
-        assert check.read_whole("/tmp/notes.txt") == b"delta payload"
+        assert not store.has(digests[0])
+        assert all(store.has(d) for d in digests[1:])
+        assert [e.digest for e in store.entries()][:3] == digests[1:]
 
 
 class TestWorldIndex:

@@ -139,30 +139,27 @@ class TestHandshake:
         thread.join()
 
 
-def _snapshot_frame(body: bytes, base: "str | None" = None) -> bytes:
-    """A frame that parses as a full snapshot, or as a delta against
-    ``base`` (the walk reads headers only; bodies never decode)."""
-    from repro.kernel.serialize import SNAPSHOT_VERSION, _KIND_DELTA, _KIND_FULL, _MAGIC
+def _snapshot_frame(body: bytes) -> bytes:
+    """A frame with a snapshot header (the pull never decodes bodies)."""
+    from repro.kernel.serialize import SNAPSHOT_VERSION, _MAGIC
 
-    if base is None:
-        return _MAGIC + bytes([SNAPSHOT_VERSION]) + _KIND_FULL + body
-    return _MAGIC + bytes([SNAPSHOT_VERSION]) + _KIND_DELTA + base.encode() + body
+    return _MAGIC + bytes([SNAPSHOT_VERSION]) + body
 
 
 class TestBlobPull:
-    """PREPARE's NEED/BLOB walk, driven by hand — no sockets."""
+    """PREPARE's NEED/BLOB exchange, driven by hand — no sockets."""
 
-    def test_needs_each_missing_link_of_the_delta_chain(self, tmp_path):
+    def test_needs_a_missing_blob_once(self, tmp_path):
         src = SnapshotStore(tmp_path / "src")
         dst = SnapshotStore(tmp_path / "dst")
-        base = src.put(_snapshot_frame(b"base"))
-        delta = src.put(_snapshot_frame(b"delta", base=base))
-        pull, needed = BlobPull(dst, delta), []
+        snapshot = src.put(_snapshot_frame(b"machine"))
+        pull, needed = BlobPull(dst, snapshot), []
         while (digest := pull.next_need()) is not None:
             needed.append(digest)
             pull.accept(Message("BLOB", {}, src.export_blob(digest)))
-        assert needed == [delta, base] and pull.pulled
-        again = BlobPull(dst, delta)  # the whole chain is local now
+        assert needed == [snapshot] and pull.pulled
+        assert dst.get(snapshot) == src.get(snapshot)
+        again = BlobPull(dst, snapshot)  # the blob is local now
         assert again.next_need() is None and not again.pulled
 
     def test_a_blob_other_than_the_one_needed_is_refused(self, tmp_path):

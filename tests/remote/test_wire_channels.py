@@ -171,18 +171,20 @@ class _MiniAgent:
 
 
 class TestNegotiation:
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3])
     def test_older_peers_are_refused(self, agent_factory, old):
-        """Every peer lives in this tree, so the wire speaks v3 only: an
+        """Every peer lives in this tree, so the wire speaks v4 only: an
         older agent is refused with a typed error, and an older client
-        gets the agent's readable ERROR frame.  A v2 peer would key
-        templates on four ingredients (PREPARE under one key, SUBMIT
-        under another) and could send callables."""
+        gets the agent's readable ERROR frame.  A v3 peer ships snapshot
+        frames this codec refuses, so its PREPARE would fail restore on
+        a healthy agent; a v2 peer would also key templates on four
+        ingredients (PREPARE under one key, SUBMIT under another) and
+        could send callables."""
         agent = _MiniAgent(version=old)
         with pytest.raises(WireVersionError, match=f"wire version {old}"):
             open_link("127.0.0.1", agent.port)
 
-        _proc, addr = agent_factory("v3-only")
+        _proc, addr = agent_factory("v4-only")
         host, port = addr.rsplit(":", 1)
         conn = Connection(socket.create_connection((host, int(port))))
         reply = conn.request("HELLO", {"version": old})
