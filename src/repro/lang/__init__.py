@@ -1,7 +1,7 @@
-"""The SHILL language: lexer, parser, evaluator, modules, runtime."""
+"""The SHILL language: lexer, parser, compiler, modules, runtime."""
 
 from repro.lang.env import Env
-from repro.lang.interp import Interp
+from repro.lang.interp import apply
 from repro.lang.lexer import lex
 from repro.lang.modules import AMBIENT_LANG, CAP_LANG, ModuleLoader, read_lang
 from repro.lang.parser import parse_source
@@ -10,7 +10,7 @@ from repro.lang.values import VOID, BuiltinFunction, Closure, SysErrorVal
 
 __all__ = [
     "Env",
-    "Interp",
+    "apply",
     "lex",
     "parse_source",
     "ModuleLoader",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import SysError
+from repro.errors import ShillRuntimeError, SysError
 from repro.capability.caps import FsCap, PipeFactoryCap
 from repro.contracts import library as ctclib
 from repro.lang.values import VOID, BuiltinFunction, SysErrorVal, shill_repr
@@ -44,8 +44,6 @@ def _as_bytes(value: Any) -> bytes:
 
 
 def _require_cap(value: Any, op: str) -> FsCap:
-    from repro.errors import ShillRuntimeError
-
     if not isinstance(value, FsCap):
         raise ShillRuntimeError(f"{op} expects a capability, got {shill_repr(value)}")
     return value
@@ -140,7 +138,6 @@ def make_socket_builtins(runtime: "ShillRuntime") -> dict[str, Any]:
     manipulation "can be addressed by adding built-in functions ... to
     the language").  Every operation requires a socket factory (or a
     socket derived from one) — capability safety is preserved."""
-    from repro.errors import ShillRuntimeError
     from repro.capability.caps import SocketCap, SocketFactoryCap
     from repro.kernel.sockets import AddressFamily, SocketType
 
@@ -203,8 +200,6 @@ def make_socket_builtins(runtime: "ShillRuntime") -> dict[str, Any]:
 
 
 def b_create_pipe(factory: Any) -> list:
-    from repro.errors import ShillRuntimeError
-
     if not isinstance(factory, PipeFactoryCap):
         raise ShillRuntimeError("create_pipe expects a pipe factory")
     read_cap, write_cap = factory.create()
@@ -241,8 +236,6 @@ def b_to_string(v: Any) -> str:
 
 
 def b_length(v: Any) -> int:
-    from repro.errors import ShillRuntimeError
-
     if isinstance(v, (str, list, tuple)):
         return len(v)
     raise ShillRuntimeError(f"length expects a string or list, got {shill_repr(v)}")
@@ -277,8 +270,6 @@ def b_push(lst: list, value: Any) -> list:
 
 
 def b_nth(lst: list, index: int) -> Any:
-    from repro.errors import ShillRuntimeError
-
     if not isinstance(lst, (list, tuple)) or not 0 <= index < len(lst):
         raise ShillRuntimeError(f"nth: bad index {index}")
     return lst[index]

@@ -23,7 +23,8 @@ from repro.contracts.polyctc import ContractVar, PolyContract
 from repro.contracts.library import EXPORTS as LIBRARY
 from repro.contracts.walletctc import WalletContract
 from repro.lang import ast_ as A
-from repro.lang.values import Closure
+from repro.lang.interp import apply
+from repro.lang.values import BuiltinFunction, Closure
 from repro.sandbox.privileges import (
     ALL_PRIVS,
     PrivSet,
@@ -34,51 +35,45 @@ from repro.sandbox.privileges import (
 
 if TYPE_CHECKING:
     from repro.lang.env import Env
-    from repro.lang.interp import Interp
 
 
 def elaborate(
     ctc: A.Ctc,
     env: "Env",
-    interp: "Interp",
     poly_vars: frozenset[str] = frozenset(),
 ) -> Contract:
     if isinstance(ctc, A.CtcName):
-        return _resolve_name(ctc.name, env, interp, poly_vars)
+        return _resolve_name(ctc.name, env, poly_vars)
     if isinstance(ctc, A.CtcCap):
         return _elaborate_cap(ctc)
     if isinstance(ctc, A.CtcOr):
-        return OrContract(*[elaborate(p, env, interp, poly_vars) for p in ctc.parts])
+        return OrContract(*[elaborate(p, env, poly_vars) for p in ctc.parts])
     if isinstance(ctc, A.CtcAnd):
-        return AndContract(*[elaborate(p, env, interp, poly_vars) for p in ctc.parts])
+        return AndContract(*[elaborate(p, env, poly_vars) for p in ctc.parts])
     if isinstance(ctc, A.CtcFun):
-        params = [(name, elaborate(c, env, interp, poly_vars)) for name, c in ctc.params]
-        result = elaborate(ctc.result, env, interp, poly_vars)
+        params = [(name, elaborate(c, env, poly_vars)) for name, c in ctc.params]
+        result = elaborate(ctc.result, env, poly_vars)
         return FunctionContract(params, result)
     if isinstance(ctc, A.CtcForall):
         bound = PrivSet.of(*[priv_from_name(p) for p in ctc.bound])
         inner_vars = poly_vars | {ctc.var}
-        body = elaborate(ctc.body, env, interp, inner_vars)
+        body = elaborate(ctc.body, env, inner_vars)
         assert isinstance(body, FunctionContract)
         return PolyContract(ctc.var, bound, body)
     raise ShillRuntimeError(f"unknown contract form {ctc!r}")
 
 
-def _resolve_name(
-    name: str, env: "Env", interp: "Interp", poly_vars: frozenset[str]
-) -> Contract:
+def _resolve_name(name: str, env: "Env", poly_vars: frozenset[str]) -> Contract:
     if name in poly_vars:
         return ContractVar(name)
     if env is not None and env.bound(name):
-        from repro.lang.values import BuiltinFunction
-
         value = env.lookup(name)
         if isinstance(value, Contract):
             return value
         if isinstance(value, Closure):
             # A user-defined predicate written in SHILL.
             return PredicateContract(
-                lambda v, _c=value, _i=interp: _i.apply(_c, [v]) is True, name
+                lambda v, _c=value: apply(_c, [v]) is True, name
             )
         if isinstance(value, BuiltinFunction):
             # A builtin predicate shadows nothing: prefer the library's
@@ -87,7 +82,7 @@ def _resolve_name(
             if name in LIBRARY:
                 return LIBRARY[name]
             return PredicateContract(
-                lambda v, _b=value, _i=interp: _i.apply(_b, [v]) is True, name
+                lambda v, _b=value: apply(_b, [v]) is True, name
             )
         raise ShillRuntimeError(f"{name!r} is bound but is not a contract")
     if name.endswith("_wallet") and name not in LIBRARY:

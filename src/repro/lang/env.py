@@ -26,9 +26,6 @@ class Env:
         self._frame: dict[str, Any] = {}
         self._parent = parent
 
-    def child(self) -> "Env":
-        return Env(self)
-
     def define(self, name: str, value: Any) -> None:
         if name in self._frame:
             raise ShillRuntimeError(

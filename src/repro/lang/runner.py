@@ -27,7 +27,7 @@ from repro.kernel.syscalls import O_APPEND, O_RDONLY, O_WRONLY
 from repro.kernel.vfs import Vnode, VType
 from repro.lang.builtins import make_base_builtins
 from repro.lang.env import Env
-from repro.lang.interp import Interp
+from repro.lang.interp import apply
 from repro.lang.modules import ModuleLoader
 from repro.lang.values import BuiltinFunction
 from repro.sandbox.privileges import Priv, PrivSet
@@ -88,7 +88,6 @@ class ShillRuntime:
         self.engine = engine
         self.proc = kernel.spawn_process(user, cwd)
         self.sys = kernel.syscalls(self.proc)
-        self.interp = Interp(self)
         self.scripts: dict[str, str] = dict(scripts or {})
         self.loader = ModuleLoader(self)
         self._base_builtins = make_base_builtins(self)
@@ -210,7 +209,7 @@ class ShillRuntime:
         return {export: env.lookup(export) for export in module.provides}
 
     def call(self, fn: Any, *args: Any, **kwargs: Any) -> Any:
-        return self.interp.apply(fn, list(args), kwargs)
+        return apply(fn, list(args), kwargs)
 
     # ------------------------------------------------------------------
     # exec: capability-based sandboxes

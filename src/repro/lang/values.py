@@ -8,18 +8,20 @@ keeps builtins simple.  Language-specific values:
   operation.  SHILL scripts branch on these (``if !is_syserror(child)``)
   rather than unwinding, so builtins catch :class:`SysError` and return
   one;
-* :class:`Closure` — a user function.  SHILL has no mutable variables, so
-  closures capture an immutable environment (recursion is tied via a
-  dedicated self-reference slot rather than mutation of the frame);
+* :class:`Closure` — a user function: its compiled body and the
+  environment it was created in.  SHILL has no mutable variables, so the
+  captured environment is write-once (recursion is tied by completing a
+  reserved binding, never by re-assignment);
 * :class:`BuiltinFunction` — a Python-implemented primitive.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+from repro.errors import ShillRuntimeError
 
 if TYPE_CHECKING:
-    from repro.lang.ast_ import Block
     from repro.lang.env import Env
 
 
@@ -59,11 +61,15 @@ class SysErrorVal:
 
 
 class Closure:
-    """A user-defined function value."""
+    """A user-defined function value.  ``body`` is the compiled code of the
+    function's block (see :mod:`repro.lang.interp`), run in a frame that
+    binds ``params`` on top of ``env``."""
 
     __slots__ = ("name", "params", "body", "env")
 
-    def __init__(self, name: str, params: list[str], body: "Block", env: "Env") -> None:
+    def __init__(
+        self, name: str, params: Sequence[str], body: Callable[["Env"], Any], env: "Env"
+    ) -> None:
         self.name = name
         self.params = params
         self.body = body
@@ -101,8 +107,6 @@ class BuiltinFunction:
 def truthy(value: Any) -> bool:
     """SHILL truth: booleans only — other types in conditions are errors,
     except that this helper is also used by `&&`/`||` shortcuts."""
-    from repro.errors import ShillRuntimeError
-
     if isinstance(value, bool):
         return value
     raise ShillRuntimeError(f"condition must be a boolean, got {value!r}")

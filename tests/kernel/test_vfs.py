@@ -175,6 +175,21 @@ def test_path_of_follows_rename(vfs: VFS):
     assert vfs.path_of(f) == "/d/g"
 
 
+def test_path_of_follows_the_latest_lookup_of_a_hard_link(vfs: VFS):
+    """A successful lookup rewrites the name cache without a tree change,
+    so a memo of ``path_of`` keyed by ``generation`` would go stale."""
+    a = vfs.create(vfs.root, "a", VType.VDIR, 0o755, 0, 0)
+    b = vfs.create(vfs.root, "b", VType.VDIR, 0o755, 0, 0)
+    f = vfs.create(a, "f", VType.VREG, 0o644, 0, 0)
+    vfs.link(f, b, "g")
+    generation = vfs.generation
+    vfs.lookup(b, "g")
+    assert vfs.path_of(f) == "/b/g"
+    vfs.lookup(a, "f")
+    assert vfs.path_of(f) == "/a/f"
+    assert vfs.generation == generation
+
+
 def test_read_write_roundtrip(vfs: VFS):
     f = vfs.create(vfs.root, "f", VType.VREG, 0o644, 0, 0)
     assert vfs.write_file(f, 0, b"hello") == 5

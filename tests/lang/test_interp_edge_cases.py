@@ -172,3 +172,63 @@ class TestComparisonSemantics:
         )
         with pytest.raises(ShillRuntimeError):
             rt.call(f, 1)
+
+
+class TestScopingPins:
+    """Scoping the compiled evaluator must keep exactly: names resolve in
+    the write-once frames when the code runs, not when it is compiled."""
+
+    def test_block_reads_outer_name_before_its_own_definition(self, rt):
+        f = run_fn(
+            rt,
+            "provide f : {x : is_num} -> is_num;\n"
+            "x0 = 1;\n"
+            "f = fun(x) { r = { y = x0; x0 = 2; y + x0 + x; }; r; }\n",
+        )
+        assert rt.call(f, 10) == 13
+
+    def test_closure_sees_a_later_sibling_definition(self, rt):
+        k = run_fn(
+            rt,
+            "provide k : {n : is_num} -> is_num;\n"
+            "k = fun(n) { early = fun() { later; }; later = n * 2; early(); }\n",
+            export="k",
+        )
+        assert rt.call(k, 4) == 8
+
+    def test_unbound_name_fails_only_on_the_branch_taken(self, rt):
+        h = run_fn(
+            rt,
+            "provide h : {c : is_bool} -> is_num;\n"
+            "h = fun(c) { if c then 1 else nowhere; }\n",
+            export="h",
+        )
+        assert rt.call(h, True) == 1
+        with pytest.raises(ShillRuntimeError, match="unbound variable 'nowhere'"):
+            rt.call(h, False)
+
+    def test_builtins_share_the_module_top_frame(self, rt):
+        rt.register_script(
+            "dup.cap",
+            "#lang shill/cap\nprovide f : {x : is_num} -> is_num;\n"
+            "path = 1;\nf = fun(x) { x; }\n",
+        )
+        with pytest.raises(ShillRuntimeError, match="duplicate definition of 'path'"):
+            rt.load_cap_exports("dup.cap")
+
+    def test_builtins_share_the_ambient_top_frame(self, rt):
+        with pytest.raises(ShillRuntimeError, match="duplicate definition of 'path'"):
+            rt.run_ambient("#lang shill/ambient\npath = 1;\n")
+
+    def test_a_block_in_a_function_may_shadow_a_builtin(self, rt):
+        f = run_fn(
+            rt,
+            "provide f : {x : is_num} -> is_num;\n"
+            "f = fun(x) { { path = x; path + 1; } }\n",
+        )
+        assert rt.call(f, 1) == 2
+
+    def test_ambient_redefinition_fails_after_earlier_statements_ran(self, rt):
+        with pytest.raises(ShillRuntimeError, match="duplicate definition of 'x'"):
+            rt.run_ambient('#lang shill/ambient\nappend(stdout, "a\\n");\nx = 1;\nx = 2;\n')
+        assert rt.tty.text == "a\n"

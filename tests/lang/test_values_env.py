@@ -66,7 +66,7 @@ class TestEnv:
     def test_shadowing_in_child(self):
         env = Env()
         env.define("x", 1)
-        child = env.child()
+        child = Env(env)
         child.define("x", 2)
         assert child.lookup("x") == 2
         assert env.lookup("x") == 1
@@ -84,7 +84,7 @@ class TestEnv:
     def test_bound_and_names(self):
         env = Env()
         env.define("a", 1)
-        child = env.child()
+        child = Env(env)
         child.define("b", 2)
         assert child.bound("a") and child.bound("b") and not child.bound("c")
         assert child.names() == ["a", "b"]
