@@ -8,11 +8,14 @@ each a separate process owning its own persistent
 that shards (script, user) jobs across them over a small, versioned,
 length-prefixed wire protocol (:mod:`repro.remote.wire`).
 
-Three modules:
+Four modules:
 
 * :mod:`repro.remote.wire` — the frame codec and message vocabulary
   (HELLO / PREPARE / NEED / BLOB / READY / SUBMIT / RESULT / GOODBYE);
   snapshot blobs travel by digest and are only shipped on a miss;
+* :mod:`repro.remote.server` — the serving half of the protocol, one
+  threaded server that agents and the :mod:`repro.serve` gateway both
+  run;
 * :mod:`repro.remote.agent` — the worker-host process: restores
   templates from its store (or over the wire), forks per job, and runs
   exactly the same :func:`repro.api.executors.base.run_job` path every

@@ -2,9 +2,11 @@
 
 An agent is a plain process — ``python -m repro agent --store DIR
 --port P`` — that owns a :class:`repro.kernel.store.SnapshotStore` and
-serves the wire protocol (:mod:`repro.remote.wire`) on a local socket.
-A "cluster" is just N of these; there is no membership service, no
-shared state, and nothing to deploy beyond the Python tree itself.
+serves the wire protocol (:mod:`repro.remote.wire`) on a local socket,
+on the same threaded :class:`~repro.remote.server.WireServer` the
+gateway runs.  A "cluster" is just N of these; there is no membership
+service, no shared state, and nothing to deploy beyond the Python tree
+itself.
 
 Per PREPARE, the agent obtains the named snapshot the cheapest way it
 can — an already-restored in-memory template, its own store (the warm
@@ -17,7 +19,7 @@ argument: an agent cannot diverge from ``SequentialExecutor`` without
 ``run_job`` itself diverging.  A job is the script in the SUBMIT
 header: an agent unpickles nothing a peer sends in SUBMIT or PREPARE.
 The only peer bytes it reads are snapshot blobs, which arrive through
-:class:`~repro.remote.wire.BlobPull`'s digest check.
+the digest check of :meth:`~repro.remote.server.WireServer._pull`.
 
 On startup the agent prints one machine-readable line::
 
@@ -32,32 +34,27 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
-import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
 import traceback as _traceback
-from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.kernel.store import SnapshotStore
+from repro.remote.server import WireServer
 from repro.remote.wire import (
     WIRE_VERSION,
-    BlobPull,
     Connection,
     Message,
-    WireClosed,
     WireError,
-    WireVersionError,
-    negotiate_version,
     template_key,
 )
 
 if TYPE_CHECKING:
     from repro.api.executors.base import JobTemplate
+    from repro.kernel.store import SnapshotStore
 
 #: Exit status of a chaos-killed agent (see ``--chaos-exit-on``) —
 #: distinct from error exits so tests can assert the death was the
@@ -65,7 +62,7 @@ if TYPE_CHECKING:
 CHAOS_EXIT_STATUS = 70
 
 
-class AgentServer:
+class AgentServer(WireServer):
     """The serving half of one agent process.
 
     ``store`` roots the agent's own snapshot store; ``host``/``port``
@@ -77,76 +74,19 @@ class AgentServer:
     committed a job to a host it can no longer trust.
     """
 
+    role = "agent"
+
     def __init__(self, store: "SnapshotStore | Path | str | None" = None,
                  host: str = "127.0.0.1", port: int = 0,
                  chaos_exit_on: "str | None" = None) -> None:
-        self.store = store if isinstance(store, SnapshotStore) else SnapshotStore(store)
+        super().__init__(store, host, port)
         self.chaos_exit_on = chaos_exit_on
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
         # Restored kernels are shared across connections and job threads
         # (forks are what isolate jobs), so one restore serves every
         # coordinator that names the same snapshot.
         self._kernels: dict[str, object] = {}
         self._templates: dict[str, "JobTemplate"] = {}
         self._state_lock = threading.Lock()
-        self._shutdown = threading.Event()
-        # Retirement bookkeeping: live connections get a GOODBYE on
-        # clean shutdown, and in-flight jobs are drained first.
-        self._connections: "set[Connection]" = set()
-        self._conn_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
-        self.retiring = False
-
-    # -- serving -----------------------------------------------------------
-
-    def announce(self, out=None) -> None:
-        print(f"AGENT LISTENING host={self.address[0]} port={self.address[1]} "
-              f"store={self.store.root}", file=out or sys.stdout, flush=True)
-
-    def serve_forever(self) -> None:
-        """Accept coordinators until :meth:`shutdown`; one reader thread
-        per connection.  SUBMITs fan out to job threads (replies carry
-        the request's channel id), so one agent runs N jobs concurrently
-        on one connection."""
-        while not self._shutdown.is_set():
-            try:
-                sock, _peer = self._listener.accept()
-            except OSError:
-                break  # listener closed by shutdown()
-            thread = threading.Thread(target=self._serve_connection,
-                                      args=(Connection(sock),), daemon=True)
-            thread.start()
-
-    def shutdown(self) -> None:
-        self._shutdown.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def retire(self, timeout: float = 30.0) -> None:
-        """Clean shutdown (SIGTERM/SIGINT): stop taking new work, drain
-        in-flight jobs, and send GOODBYE on every live connection so
-        pools mark this host *retired* — drained, no health strike, no
-        re-shard panic — rather than dead.  A crash skips all of this,
-        which is exactly how the two become distinguishable."""
-        self.retiring = True
-        with self._inflight_cv:
-            self._inflight_cv.wait_for(lambda: self._inflight == 0,
-                                       timeout=timeout)
-        with self._conn_lock:
-            conns = list(self._connections)
-        for conn in conns:
-            try:
-                conn.send("GOODBYE", {"reason": "retiring", "pid": os.getpid()})
-            except WireError:
-                pass
-        self.shutdown()
 
     def announce_to_gateway(self, gateway: str, *, retries: int = 50,
                             delay: float = 0.2) -> None:
@@ -175,83 +115,9 @@ class AgentServer:
                 time.sleep(delay)
         raise RuntimeError(f"cannot announce to gateway {gateway}: {last}")
 
-    # -- one coordinator ---------------------------------------------------
-
-    def _serve_connection(self, conn: Connection) -> None:
-        with self._conn_lock:
-            self._connections.add(conn)
-        try:
-            hello = conn.recv().expect("HELLO")
-            try:
-                effective = negotiate_version(hello.fields.get("version"),
-                                              hello.fields.get("min_version"))
-            except WireVersionError as err:
-                conn.send("ERROR", {"error": str(err)})
-                return
-            conn.send("HELLO", {"version": effective, "pid": os.getpid(),
-                                "store": str(self.store.root)})
-            while True:
-                msg = conn.recv()
-                if msg.type == "GOODBYE":
-                    return
-                if msg.type == "PREPARE":
-                    # Inline in the reader: the peer holds its send gate
-                    # for the whole NEED/BLOB exchange, so the next
-                    # frames on the socket are the exchange's own.
-                    with self._track_inflight():
-                        self._handle_prepare(conn, msg)
-                elif msg.type == "SUBMIT":
-                    self._spawn_submit(conn, msg)
-                else:
-                    conn.send("ERROR", msg.echo(
-                        {"error": f"unexpected {msg.type!r}"}))
-                    return
-        except WireClosed:
-            return  # coordinator went away; nothing to clean up
-        except Exception:
-            try:
-                conn.send("ERROR", {"error": _traceback.format_exc(limit=20)})
-            except WireError:
-                pass
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-            conn.close()
-
-    @contextmanager
-    def _track_inflight(self):
-        with self._inflight_cv:
-            self._inflight += 1
-        try:
-            yield
-        finally:
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
-
-    def _spawn_submit(self, conn: Connection, msg: Message) -> None:
-        """Run one SUBMIT on its own thread (forks are what isolate
-        jobs, so concurrent jobs on one template are safe).
-        The in-flight count is taken *before* the thread starts so a
-        concurrent :meth:`retire` cannot observe a gap."""
-        with self._inflight_cv:
-            self._inflight += 1
-
-        def run() -> None:
-            try:
-                self._handle_submit(conn, msg)
-            except WireError:
-                pass  # the reader owns connection teardown
-            finally:
-                with self._inflight_cv:
-                    self._inflight -= 1
-                    self._inflight_cv.notify_all()
-
-        threading.Thread(target=run, daemon=True, name="agent-job").start()
-
     # -- PREPARE -----------------------------------------------------------
 
-    def _handle_prepare(self, conn: Connection, msg: Message) -> "JobTemplate":
+    def _handle_prepare(self, conn: Connection, msg: Message) -> None:
         """Materialise the named template; replies READY (or NEED → BLOB
         → READY when the snapshot must cross the wire)."""
         from repro.api.executors.base import JobTemplate
@@ -264,27 +130,21 @@ class AgentServer:
             cached = self._templates.get(key)
         if cached is not None:
             conn.send("READY", msg.echo({"source": "memory", "build_ops": {}}))
-            return cached
+            return
 
-        pull = BlobPull(self.store, snapshot)
-        while (digest := pull.next_need()) is not None:
-            conn.send("NEED", msg.echo({"snapshot": digest}))
-            pull.accept(conn.recv())
-        source = "wire" if pull.pulled else "store"
-
+        source = "wire" if self._pull(conn, msg) else "store"
         with self._state_lock:
             kernel = self._kernels.get(snapshot)
             if kernel is None:
                 kernel = self.store.restore(snapshot)
                 self._kernels[snapshot] = kernel
-            template = JobTemplate(
+            self._templates[key] = JobTemplate(
                 kernel=kernel,
                 scripts=tuple((n, s) for n, s in fields.get("scripts", [])),
                 default_user=fields["default_user"],
                 digest=None,
                 token=("agent", key),
             )
-            self._templates[key] = template
         # The restored machine carries the op counters recorded when the
         # snapshot was taken; any surplus over the coordinator-reported
         # template counters is kernel work *this agent* performed to
@@ -292,11 +152,15 @@ class AgentServer:
         build_ops = KernelStats.delta(fields.get("stats", {}),
                                       kernel.stats.snapshot())
         conn.send("READY", msg.echo({"source": source, "build_ops": build_ops}))
-        return template
 
     # -- SUBMIT ------------------------------------------------------------
 
     def _handle_submit(self, conn: Connection, msg: Message) -> None:
+        """Every SUBMIT runs on its own job thread (forks are what
+        isolate jobs, so concurrent jobs on one template are safe)."""
+        self._start_job(self._run_submit, conn, msg)
+
+    def _run_submit(self, conn: Connection, msg: Message) -> None:
         from repro.api.executors.base import BatchExecutionError, ExecutorJob, run_job
 
         fields = msg.fields
@@ -357,13 +221,7 @@ def serve(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     server = AgentServer(store=args.store, host=args.host, port=args.port,
                          chaos_exit_on=args.chaos_exit_on)
-
-    def _retire(signum, frame):  # clean shutdown: drain, GOODBYE, exit 0
-        server.retire()
-        os._exit(0)
-
-    signal.signal(signal.SIGTERM, _retire)
-    signal.signal(signal.SIGINT, _retire)
+    server.retire_on_signals()  # clean shutdown: drain, GOODBYE, exit 0
     # Gateway registration happens *before* the readiness line: callers
     # waiting on "AGENT LISTENING" (spawn_local_agent, CI) may dispatch
     # through the gateway the moment they see it, so printing it first
@@ -371,12 +229,7 @@ def serve(argv: "list[str] | None" = None) -> int:
     if args.announce:
         server.announce_to_gateway(args.announce)
     server.announce()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - SIGINT is handled above
-        pass
-    finally:
-        server.shutdown()
+    server.serve_forever()
     return 0
 
 

@@ -10,13 +10,12 @@ Everything structural (message type, job metadata and script source,
 digests, op counts) rides in the JSON header, so a frame is inspectable
 with nothing but a socket dump; everything *opaque* (snapshot bytes,
 pickled ``RunResult``\\ s) rides in the blob, so JSON never sees bytes
-it cannot represent.  Only BLOB (snapshot bytes, digest-checked by
-:class:`BlobPull`) and RESULT carry a blob; SUBMIT and PREPARE are
+it cannot represent.  Only BLOB (snapshot bytes, digest-checked by the
+receiving store) and RESULT carry a blob; SUBMIT and PREPARE are
 header-only.  Frames are capped at
 :data:`MAX_FRAME_BYTES` — a corrupt length prefix must fail fast, not
-allocate gigabytes.  :func:`encode_frame`, :func:`frame_sizes` and
-:func:`decode_frame` are the one codec: the sync :class:`Connection`
-and the asyncio gateway both frame through them.
+allocate gigabytes.  :class:`Connection` is the one codec: every end,
+serving or calling, frames through it.
 
 Every request carries a **channel id** (``"channel": N``) and the peer
 echoes it on every frame of the reply, so N jobs can be in flight on
@@ -48,9 +47,9 @@ also refuses with an ERROR frame so mismatched coordinators get a
 readable diagnostic instead of a codec explosion).
 
 A PREPARE's NEED/BLOB exchange ships the snapshot blob if the peer's
-store misses it, in at most one NEED round; :class:`BlobPull` is that
-check and the BLOB's digest check, with the I/O left to whoever drives
-it (the sync agent, the asyncio gateway).  On the client side,
+store misses it, in at most one NEED round; the serving half of the
+protocol, that exchange included, is :mod:`repro.remote.server`, which
+agents and the gateway both run.  On the client side,
 :class:`ChannelMux` wraps a handshaken connection: a background reader
 routes each reply to the waiter that owns its channel, so any number of
 threads can :meth:`~ChannelMux.request` concurrently; multi-frame
@@ -69,12 +68,9 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.errors import ReproError
-
-if TYPE_CHECKING:
-    from repro.kernel.store import SnapshotStore
 
 #: Bumped whenever frames, the message vocabulary or the blobs they
 #: carry change incompatibly.  Version 2 added channel-tagged frames
@@ -101,9 +97,6 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _HEAD = struct.Struct("!II")
 
-#: Size of the fixed frame prefix (header length, blob length).
-HEAD_BYTES = _HEAD.size
-
 
 def encode_frame(type_: str, fields: "dict[str, Any] | None" = None,
                  blob: bytes = b"") -> bytes:
@@ -116,26 +109,6 @@ def encode_frame(type_: str, fields: "dict[str, Any] | None" = None,
     if len(payload) + len(blob) > MAX_FRAME_BYTES:
         raise WireError(f"frame too large: {len(payload) + len(blob)} bytes")
     return _HEAD.pack(len(payload), len(blob)) + payload + blob
-
-
-def frame_sizes(head: bytes) -> tuple[int, int]:
-    """The (header, blob) lengths a :data:`HEAD_BYTES` prefix announces;
-    a total above :data:`MAX_FRAME_BYTES` fails before anything is read."""
-    header_len, blob_len = _HEAD.unpack(head)
-    if header_len + blob_len > MAX_FRAME_BYTES:
-        raise WireError(f"frame too large: {header_len + blob_len} bytes "
-                        "(corrupt length prefix?)")
-    return header_len, blob_len
-
-
-def decode_frame(payload: bytes, blob: bytes) -> "Message":
-    """The :class:`Message` a frame's header and blob bytes carry."""
-    try:
-        header = json.loads(payload.decode())
-        type_ = header.pop("type")
-    except (ValueError, KeyError) as err:
-        raise WireError(f"bad frame header: {err}") from err
-    return Message(type_, header, blob)
 
 
 def template_key(prepare: "dict[str, Any]") -> str:
@@ -237,13 +210,21 @@ class Connection:
             raise WireClosed(f"send failed: {err}") from err
 
     def recv(self) -> Message:
-        head = self._read_exact(HEAD_BYTES, eof_ok=True)
+        head = self._read_exact(_HEAD.size, eof_ok=True)
         if head is None:
             raise WireClosed("connection closed")
-        header_len, blob_len = frame_sizes(head)
+        header_len, blob_len = _HEAD.unpack(head)
+        if header_len + blob_len > MAX_FRAME_BYTES:
+            raise WireError(f"frame too large: {header_len + blob_len} bytes "
+                            "(corrupt length prefix?)")
         payload = self._read_exact(header_len)
         blob = self._read_exact(blob_len) if blob_len else b""
-        return decode_frame(payload, blob)
+        try:
+            header = json.loads(payload.decode())
+            type_ = header.pop("type")
+        except (ValueError, KeyError) as err:
+            raise WireError(f"bad frame header: {err}") from err
+        return Message(type_, header, blob)
 
     def request(self, type_: str, fields: "dict[str, Any] | None" = None,
                 blob: bytes = b"") -> Message:
@@ -335,48 +316,6 @@ def connect(host: str, port: int, timeout: "float | None" = 10.0,
         raise
     sock.settimeout(None)
     return conn, hello
-
-
-# ---------------------------------------------------------------------------
-# PREPARE's blob pull, without the I/O
-# ---------------------------------------------------------------------------
-
-class BlobPull:
-    """The NEED/BLOB check of one PREPARE: whether the ``store`` misses
-    ``snapshot``, and the check that the BLOB answering the NEED carries
-    the digest asked for.  It does no wire I/O; the caller drives it::
-
-        pull = BlobPull(store, snapshot)
-        while (digest := pull.next_need()) is not None:
-            ...send NEED {snapshot: digest}, read the reply...
-            pull.accept(reply)
-
-    A snapshot is one self-contained blob, so the loop runs at most one
-    NEED round.  ``pulled`` says whether the blob crossed the wire (a
-    READY's ``source`` is then ``"wire"``).
-    """
-
-    def __init__(self, store: "SnapshotStore", snapshot: str) -> None:
-        self.store = store
-        self.pulled = False
-        self._digest = snapshot
-        # A get, not a has: a store hit refreshes the blob's LRU
-        # position and counts in the store's stats.
-        self._present = store.get(snapshot) is not None
-
-    def next_need(self) -> "str | None":
-        """The digest to NEED, or ``None`` once the store holds it."""
-        return None if self._present else self._digest
-
-    def accept(self, reply: Message) -> None:
-        """Store the BLOB answering the NEED.  The export frame's digest
-        is verified before the bytes are trusted, and it must be exactly
-        the blob the NEED named."""
-        imported = self.store.import_blob(reply.expect("BLOB").blob)
-        if imported != self._digest:
-            raise WireError(f"BLOB carried {imported[:12]}…, "
-                            f"NEED named {self._digest[:12]}…")
-        self.pulled = self._present = True
 
 
 # ---------------------------------------------------------------------------

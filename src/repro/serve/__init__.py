@@ -13,8 +13,9 @@ served fleet unchanged.
 
 The pieces:
 
-* :class:`~repro.serve.gateway.Gateway` — the asyncio server: client
-  sessions northbound, the agent fleet southbound, a JSONL request log
+* :class:`~repro.serve.gateway.Gateway` — the server, on the same
+  threaded :class:`~repro.remote.server.WireServer` an agent runs:
+  clients northbound, the agent fleet southbound, a JSONL request log
   for everything it decides;
 * :class:`~repro.serve.admission.AdmissionController` — the front
   door: per-user token buckets + a global pending bound, refusals as

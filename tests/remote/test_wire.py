@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 
@@ -11,7 +12,6 @@ from repro.kernel.serialize import SnapshotError
 from repro.kernel.store import BLOB_EXPORT_MAGIC, SnapshotStore
 from repro.remote.wire import (
     WIRE_VERSION,
-    BlobPull,
     Connection,
     Message,
     WireClosed,
@@ -71,31 +71,16 @@ class TestFrames:
             right.recv()
 
     def test_oversize_frames_are_refused_on_every_send_path(self, monkeypatch):
-        """One codec: the sync Connection and the gateway's asyncio
-        session both refuse a frame above the cap before writing a byte."""
-        import asyncio
-
+        """One codec: every end sends through Connection, which refuses
+        a frame above the cap before writing a byte."""
         from repro.remote import wire
-        from repro.serve.gateway import Gateway
 
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
-        left, _right = _pipe()
+        left, right = _pipe()
         with pytest.raises(WireError, match="too large"):
             left.send("BLOB", blob=b"x" * 100)
-
-        class Writer:
-            written = b""
-
-            def write(self, data):
-                self.written += data
-
-            async def drain(self):
-                pass
-
-        writer = Writer()
-        with pytest.raises(WireError, match="too large"):
-            asyncio.run(Gateway._Session(writer).send("BLOB", blob=b"x" * 100))
-        assert writer.written == b""
+        left.send("GOODBYE")  # the next frame is the first on the wire
+        assert right.recv().type == "GOODBYE"
 
     def test_expect_rejects_wrong_type(self):
         left, right = _pipe()
@@ -147,29 +132,88 @@ def _snapshot_frame(body: bytes) -> bytes:
 
 
 class TestBlobPull:
-    """PREPARE's NEED/BLOB exchange, driven by hand — no sockets."""
+    """PREPARE's NEED/BLOB exchange, driven against a real server's
+    reader loop over a socketpair (the gateway's PREPARE restores
+    nothing, so any bytes do for a snapshot)."""
 
-    def test_needs_a_missing_blob_once(self, tmp_path):
+    @staticmethod
+    def _prepare(server, snapshot: str, answer) -> "tuple[Message, list]":
+        """One connection: HELLO, then PREPARE ``snapshot``, answering
+        each NEED with ``answer(digest)``; returns the final reply and
+        the digests NEEDed."""
+        a, b = socket.socketpair()
+        thread = threading.Thread(target=server._serve_connection,
+                                  args=(Connection(b),), daemon=True)
+        thread.start()
+        client = Connection(a)
+        client_handshake(client)
+        needed = []
+        reply = client.request("PREPARE", {"snapshot": snapshot, "scripts": [],
+                                           "default_user": "alice", "channel": 1})
+        while reply.type == "NEED":
+            needed.append(reply.fields["snapshot"])
+            reply = client.request("BLOB", {"snapshot": needed[-1], "channel": 1},
+                                   answer(needed[-1]))
+        client.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        return reply, needed
+
+    @pytest.fixture
+    def gateway(self, tmp_path):
+        from repro.serve import Gateway
+
+        gateway = Gateway(store=tmp_path / "dst")
+        yield gateway
+        gateway.close()
+
+    def test_needs_a_missing_blob_once(self, tmp_path, gateway):
         src = SnapshotStore(tmp_path / "src")
-        dst = SnapshotStore(tmp_path / "dst")
         snapshot = src.put(_snapshot_frame(b"machine"))
-        pull, needed = BlobPull(dst, snapshot), []
-        while (digest := pull.next_need()) is not None:
-            needed.append(digest)
-            pull.accept(Message("BLOB", {}, src.export_blob(digest)))
-        assert needed == [snapshot] and pull.pulled
-        assert dst.get(snapshot) == src.get(snapshot)
-        again = BlobPull(dst, snapshot)  # the blob is local now
-        assert again.next_need() is None and not again.pulled
+        reply, needed = self._prepare(gateway, snapshot, src.export_blob)
+        assert needed == [snapshot]
+        assert reply.expect("READY").fields == {"source": "wire", "build_ops": {},
+                                                "channel": 1}
+        assert gateway.store.get(snapshot) == src.get(snapshot)
+        # The blob is local now: a second PREPARE NEEDs nothing.
+        again, needed = self._prepare(gateway, snapshot, src.export_blob)
+        assert needed == [] and again.expect("READY").fields["source"] == "memory"
 
-    def test_a_blob_other_than_the_one_needed_is_refused(self, tmp_path):
+    def test_concurrent_pulls_of_one_blob_all_succeed(self, tmp_path, gateway):
+        """Two clients PREPARE one missing snapshot at once, so both are
+        NEEDed and both BLOBs land together: both get READY.  Two
+        threads writing one blob race on the store's temp file, so the
+        server imports one blob at a time."""
+        src = SnapshotStore(tmp_path / "src")
+        for _ in range(30):
+            snapshot = src.put(_snapshot_frame(os.urandom(256 * 1024)))
+            both_needed = threading.Barrier(2)
+
+            def answer(digest):
+                both_needed.wait(timeout=10)
+                return src.export_blob(digest)
+
+            replies: list = []
+            clients = [threading.Thread(target=lambda: replies.append(
+                           self._prepare(gateway, snapshot, answer)[0].type))
+                       for _ in range(2)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=10)
+            assert not any(client.is_alive() for client in clients)
+            assert replies == ["READY", "READY"]
+
+    def test_a_blob_other_than_the_one_needed_is_refused(self, tmp_path, gateway):
         src = SnapshotStore(tmp_path / "src")
         wanted = src.put(_snapshot_frame(b"wanted"))
         other = src.put(_snapshot_frame(b"other"))
-        pull = BlobPull(SnapshotStore(tmp_path / "dst"), wanted)
-        assert pull.next_need() == wanted
+        reply, needed = self._prepare(gateway, wanted,
+                                      lambda _digest: src.export_blob(other))
+        assert needed == [wanted]
         with pytest.raises(WireError, match="NEED named"):
-            pull.accept(Message("BLOB", {}, src.export_blob(other)))
+            reply.expect("READY")
+        assert gateway.store.get(wanted) is None
 
 
 class TestBlobExport:

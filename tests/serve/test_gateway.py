@@ -9,14 +9,18 @@ clients down without failing them; the CLI reaches all of it.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.api import Batch, ScriptRegistry, SequentialExecutor, ServeExecutor, World, clear_result_cache
+from repro.kernel.store import SnapshotStore
 from repro.remote.agent import spawn_local_agent
+from repro.remote.server import WireServer
+from repro.remote.wire import Connection, connect, template_key
 from repro.serve import Gateway, spawn_local_gateway
 
 #: Must match tests/remote/conftest.py's marker (not imported; conftest
@@ -31,6 +35,23 @@ append(stdout, path(docs) + "\\n");
 """
 
 CHAOS_AMBIENT = f"#lang shill/ambient\n# {CHAOS_MARKER}\n" + WALK_AMBIENT
+
+#: A job that keeps an agent busy for a second or two: a million trips
+#: round an interpreted loop.
+SPIN_CAP = """\
+#lang shill/cap
+provide spin : {n : is_num} -> void;
+spin = fun(n) {
+  for i in range(n) {
+    for j in range(1000) {
+      s = to_string(j);
+    }
+  }
+}
+"""
+
+SPIN_AMBIENT = ('#lang shill/ambient\nrequire "spin.cap";\nspin(1000);\n'
+                'append(stdout, "spun\\n");\n')
 
 
 def _jpeg_world() -> World:
@@ -78,28 +99,23 @@ def fleet(tmp_path):
 
 @pytest.fixture
 def local_gateway(tmp_path):
-    """An in-process :class:`Gateway` serving from its own event-loop
-    thread, for tests that hand it Python objects (policies); yields
+    """An in-process :class:`Gateway` serving on its own thread, for
+    tests that hand it Python objects (policies); yields
     ``start(**gateway_kwargs) -> "host:port"``."""
     running = []
 
     def start(**kwargs) -> str:
         gateway = Gateway(store=tmp_path / "gw", **kwargs)
-        loop = asyncio.new_event_loop()
-        server = loop.run_until_complete(gateway.start())
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread = threading.Thread(target=gateway.serve_forever, daemon=True)
         thread.start()
-        running.append((gateway, loop, server, thread))
+        running.append((gateway, thread))
         return f"{gateway.address[0]}:{gateway.address[1]}"
 
     yield start
-    for gateway, loop, server, thread in running:
-        loop.call_soon_threadsafe(server.close)
-        loop.call_soon_threadsafe(loop.stop)
+    for gateway, thread in running:
+        gateway.close()
         thread.join(timeout=10)
         assert not thread.is_alive()
-        loop.close()
-        gateway.close()
 
 
 def _run_bounded(batch: Batch, gateway: str, store, seconds: float = 60):
@@ -299,7 +315,193 @@ class TestAgentChurn:
                        for e in events)
 
 
+class TestGatewayLifecycle:
+    def test_sigtermed_gateway_drains_its_inflight_job(self, tmp_path):
+        """A SIGTERM'd gateway retires like an agent: the job it is
+        relaying finishes and reaches the client, the gateway exits 0,
+        and its own healthy agent is never struck dead."""
+        log = tmp_path / "requests.jsonl"
+        gw_proc, gw = spawn_local_gateway(tmp_path / "gw", request_log=log)
+        agent_proc, _addr = spawn_local_agent(tmp_path / "agent", announce=gw)
+        try:
+            batch = Batch(_jpeg_world(), cache=False,
+                          scripts=ScriptRegistry().add("spin.cap", SPIN_CAP))
+            batch.add(SPIN_AMBIENT, name="spin")
+            outcome: dict = {}
+
+            def run():
+                try:
+                    with ServeExecutor(gw, store=tmp_path / "client") as executor:
+                        outcome["results"] = batch.run(executor=executor)
+                except Exception as err:
+                    outcome["error"] = err
+
+            client = threading.Thread(target=run, daemon=True)
+            client.start()
+            deadline = time.monotonic() + 60
+            while '"event": "dispatch"' not in log.read_text():
+                assert time.monotonic() < deadline, "the job never left the gateway"
+                time.sleep(0.02)
+            gw_proc.terminate()
+            client.join(timeout=60)
+            assert not client.is_alive(), "the gateway left its client hanging"
+            assert gw_proc.wait(timeout=30) == 0
+        finally:
+            for proc in (gw_proc, agent_proc):
+                proc.kill()
+                proc.wait(timeout=10)
+        assert "error" not in outcome, outcome
+        [result] = outcome["results"]
+        assert result.ok and result.stdout == "spun\n"
+        events = [e["event"] for e in _events(log)]
+        assert "dead" not in events
+        # The job was still in flight when the gateway was told to stop.
+        assert events.index("stopping") < events.index("result")
+
+
+class _HoldingAgent(WireServer):
+    """A stand-in agent: any PREPARE is READY, and every SUBMIT is held
+    on a job thread until ``release`` is set, then answered with an
+    empty ok RESULT.  ``held`` lists the indices it has taken."""
+
+    role = "holding"
+
+    def __init__(self, store, release: threading.Event) -> None:
+        super().__init__(store)
+        self.release = release
+        self.held: list = []
+
+    def _handle_prepare(self, conn, msg):
+        conn.send("READY", msg.echo({"source": "memory", "build_ops": {}}))
+
+    def _handle_submit(self, conn, msg):
+        self._start_job(self._hold, conn, msg)
+
+    def _hold(self, conn, msg):
+        self.held.append(msg.fields["index"])
+        self.release.wait(timeout=60)
+        conn.send("RESULT", msg.echo({"index": msg.fields["index"], "status": "ok"}))
+
+
+def _raw_client(gateway: str, store_root) -> "tuple[Connection, str]":
+    """A handshaken wire connection to ``gateway`` with one template
+    PREPAREd from a store of its own; returns it and the template key."""
+    host, port = gateway.rsplit(":", 1)
+    conn, _hello = connect(host, int(port))
+    store = SnapshotStore(store_root)
+    snapshot = store.put(b"any bytes: a stand-in agent restores nothing")
+    prepare = {"snapshot": snapshot, "scripts": [], "default_user": "alice"}
+    reply = conn.request("PREPARE", dict(prepare, channel=0))
+    if reply.type == "NEED":
+        reply = conn.request("BLOB", {"snapshot": snapshot, "channel": 0},
+                             store.export_blob(snapshot))
+    reply.expect("READY")
+    return conn, template_key(prepare)
+
+
+def _submit(conn: Connection, key: str, index: int) -> None:
+    conn.send("SUBMIT", {"index": index, "name": f"j{index}", "user": None,
+                         "source": f"#lang shill/ambient\n# {index}\n",
+                         "template": key, "channel": index + 1})
+
+
 class TestAdmission:
+    def test_a_submit_flood_gets_busy_not_threads(self, local_gateway, tmp_path):
+        """SUBMITs past ``max_pending``, to a gateway whose agent holds
+        every job, are refused with BUSY in arrival order; the gateway
+        never runs more than ``max_pending`` job threads, and the held
+        jobs still complete once the agent lets go."""
+        def gateway_jobs() -> int:
+            return sum(t.name == "gateway-job" for t in threading.enumerate())
+
+        agent = _HoldingAgent(tmp_path / "agent", threading.Event())
+        threading.Thread(target=agent.serve_forever, daemon=True).start()
+        max_pending, flood = 3, 15
+        gw = local_gateway(hosts=["%s:%d" % agent.address], max_pending=max_pending)
+        peak, sampling = [0], threading.Event()
+
+        def sample():
+            while not sampling.is_set():
+                peak[0] = max(peak[0], gateway_jobs())
+                time.sleep(0.001)
+
+        sampler = threading.Thread(target=sample, daemon=True)
+        sampler.start()
+        conn, key = _raw_client(gw, tmp_path / "client")
+        try:
+            for i in range(flood):
+                _submit(conn, key, i)
+            refused = [conn.recv() for _ in range(flood - max_pending)]
+            assert [m.type for m in refused] == ["BUSY"] * (flood - max_pending)
+            assert [m.fields["channel"] for m in refused] == \
+                list(range(max_pending + 1, flood + 1))
+            assert all(m.fields["retry_after"] > 0 for m in refused)
+            deadline = time.monotonic() + 30
+            while len(agent.held) < max_pending:
+                assert time.monotonic() < deadline, "admitted jobs never reached the agent"
+                time.sleep(0.01)
+            assert sorted(agent.held) == list(range(max_pending))
+            assert gateway_jobs() == max_pending
+            agent.release.set()
+            results = [conn.recv() for _ in range(max_pending)]
+            assert sorted((m.type, m.fields["index"]) for m in results) == \
+                [("RESULT", i) for i in range(max_pending)]
+        finally:
+            sampling.set()
+            agent.release.set()
+            conn.close()
+            agent.shutdown()
+        sampler.join(timeout=5)
+        assert not sampler.is_alive()
+        assert peak[0] <= max_pending
+
+    def test_concurrent_clients_leave_no_count_behind(self, tmp_path):
+        """More client threads than cores, a tiny switch interval, and a
+        pending bound they overrun: every SUBMIT gets exactly one reply,
+        and the admission and in-flight counts shared by the gateway's
+        reader and job threads both return to zero."""
+        agent = _HoldingAgent(tmp_path / "agent", threading.Event())
+        agent.release.set()
+        threading.Thread(target=agent.serve_forever, daemon=True).start()
+        gateway = Gateway(store=tmp_path / "gw", hosts=["%s:%d" % agent.address],
+                          max_pending=4, result_cache=0)
+        threading.Thread(target=gateway.serve_forever, daemon=True).start()
+        address = "%s:%d" % gateway.address
+        clients, submits, replies = 6, 40, {}
+
+        def client(c: int) -> None:
+            conn, key = _raw_client(address, tmp_path / f"client{c}")
+            try:
+                for i in range(submits):
+                    _submit(conn, key, i)
+                replies[c] = [conn.recv() for _ in range(submits)]
+            finally:
+                conn.close()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(c,), daemon=True)
+                       for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            deadline = time.monotonic() + 30
+            while gateway._inflight:
+                assert time.monotonic() < deadline, "a job thread never left"
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(switch)
+            gateway.close()
+            agent.shutdown()
+        assert gateway.admission.pending == 0
+        for c in range(clients):
+            assert sorted(m.fields["channel"] for m in replies[c]) == \
+                list(range(1, submits + 1))
+            assert {m.type for m in replies[c]} <= {"RESULT", "BUSY"}
+
     def test_rate_limited_batch_backs_off_and_completes(self, fleet,
                                                         tmp_path):
         """A tight per-user rate limit turns into BUSY frames, the
