@@ -40,13 +40,14 @@ class OpenFlags(enum.IntFlag):
     O_EXEC = 0x40000
     O_NOFOLLOW = 0x0100
 
+    # Both test the int value: ``self & 0x3`` would run Flag.__and__.
     @property
     def readable(self) -> bool:
-        return (self & 0x3) in (OpenFlags.O_RDONLY, OpenFlags.O_RDWR)
+        return (int(self) & 0x3) in (0x0, 0x2)
 
     @property
     def writable(self) -> bool:
-        return (self & 0x3) in (OpenFlags.O_WRONLY, OpenFlags.O_RDWR)
+        return (int(self) & 0x3) in (0x1, 0x2)
 
 
 KernelObject = Union["Vnode", "PipeEnd", "Socket"]

@@ -75,6 +75,18 @@ O_DIRECTORY = OpenFlags.O_DIRECTORY
 O_EXEC = OpenFlags.O_EXEC
 O_NOFOLLOW = OpenFlags.O_NOFOLLOW
 
+# The flags' int values.  The syscalls below test ``int(flags)`` against
+# these: ``flags & O_CREAT`` on an OpenFlags runs Flag.__and__ in Python,
+# and so does ``bits & O_CREAT``, since an int subclass's reflected
+# operator goes first.
+_APPEND = O_APPEND.value
+_CREAT = O_CREAT.value
+_TRUNC = O_TRUNC.value
+_EXCL = O_EXCL.value
+_DIRECTORY = O_DIRECTORY.value
+_EXEC = O_EXEC.value
+_NOFOLLOW = O_NOFOLLOW.value
+
 
 @dataclass(frozen=True)
 class Stat:
@@ -272,8 +284,9 @@ class SyscallInterface:
 
     def open(self, path: str, flags: OpenFlags = O_RDONLY, mode: int = 0o644) -> int:
         self._count("open")
-        follow = not (flags & O_NOFOLLOW)
-        dvp, name, vp = self._resolve(path, follow=follow, want_parent=bool(flags & O_CREAT))
+        bits = int(flags)
+        dvp, name, vp = self._resolve(path, follow=not (bits & _NOFOLLOW),
+                                      want_parent=bits & _CREAT != 0)
         return self._open_vnode(dvp, name, vp, flags, mode)
 
     def openat(self, dirfd: int, path: str, flags: OpenFlags = O_RDONLY, mode: int = 0o644) -> int:
@@ -298,8 +311,9 @@ class SyscallInterface:
     def _open_vnode(
         self, dvp: Vnode, name: str, vp: Vnode | None, flags: OpenFlags, mode: int
     ) -> int:
+        bits = int(flags)
         if vp is None:
-            if not flags & O_CREAT:
+            if not bits & _CREAT:
                 raise SysError(errno_.ENOENT, name)
             _dac(self.proc, dvp, W_OK, f"create {name!r}")
             self._mac("vnode_check_create", dvp, name, VType.VREG)
@@ -308,25 +322,26 @@ class SyscallInterface:
             )
             self._post("vnode_post_create", dvp, vp, name, VType.VREG)
         else:
-            if flags & O_CREAT and flags & O_EXCL:
+            if bits & _CREAT and bits & _EXCL:
                 raise SysError(errno_.EEXIST, name)
             if vp.is_symlink:
                 raise SysError(errno_.ELOOP, f"{name!r} is a symlink (O_NOFOLLOW)")
-            if flags & O_DIRECTORY and not vp.is_dir:
+            if bits & _DIRECTORY and not vp.is_dir:
                 raise SysError(errno_.ENOTDIR, name)
-            if vp.is_dir and flags.writable:
+            writable = flags.writable
+            if vp.is_dir and writable:
                 raise SysError(errno_.EISDIR, name)
             accmode = 0
             if flags.readable:
                 accmode |= R_OK
-            if flags.writable or flags & O_APPEND:
+            if writable or bits & _APPEND:
                 accmode |= W_OK
-            if flags & O_EXEC:
+            if bits & _EXEC:
                 accmode |= X_OK
             if accmode:
                 _dac(self.proc, vp, accmode, f"open {name!r}")
             self._mac("vnode_check_open", vp, accmode)
-            if flags & O_TRUNC and vp.is_reg:
+            if bits & _TRUNC and vp.is_reg:
                 if not vp.is_chardev:
                     self._mac("vnode_check_write", vp)
                 self.kernel.vfs.truncate_file(vp, 0)
@@ -388,16 +403,17 @@ class SyscallInterface:
                     self._mac("vnode_check_write", obj)
                 assert obj.device is not None
                 return obj.device.write(data)
-            if not (of.flags.writable or of.flags & O_APPEND):
+            append = int(of.flags) & _APPEND
+            if not (append or of.flags.writable):
                 raise SysError(errno_.EBADF, "fd not open for writing")
             self._mac("vnode_check_write", obj)
             assert obj.data is not None
-            offset = len(obj.data) if of.flags & O_APPEND else of.offset
+            offset = len(obj.data) if append else of.offset
             limit = self.proc.ulimits.file_size
             if limit is not None and offset + len(data) > limit:
                 raise SysError(errno_.EFBIG, "ulimit: file size")
             n = self.kernel.vfs.write_file(obj, offset, data)
-            if not of.flags & O_APPEND:
+            if not append:
                 of.offset = offset + n
             return n
         if isinstance(obj, PipeEnd):
@@ -426,7 +442,7 @@ class SyscallInterface:
         vp = of.obj
         if not isinstance(vp, Vnode) or not vp.is_reg:
             raise SysError(errno_.EINVAL, "ftruncate target")
-        if not (of.flags.writable or of.flags & O_APPEND):
+        if not (of.flags.writable or int(of.flags) & _APPEND):
             raise SysError(errno_.EBADF, "fd not open for writing")
         self._mac("vnode_check_truncate", vp)
         self.kernel.vfs.truncate_file(vp, length)

@@ -39,7 +39,7 @@ from repro.kernel.sockets import AddressFamily
 from repro.kernel.vfs import VType, Vnode
 from repro.policy.engine import Decision, PolicyRequest, engine_for
 from repro.sandbox.privileges import Priv, PrivSet, SockPriv
-from repro.sandbox.privmap import ensure_privmap, privmap_of
+from repro.sandbox.privmap import privmap_of
 from repro.sandbox.session import Session, SessionManager
 
 if TYPE_CHECKING:
@@ -60,6 +60,11 @@ _UNLINK_PRIV_FOR_VTYPE = {
 }
 
 _ALLOWED_SOCKET_DOMAINS = {int(AddressFamily.AF_UNIX), int(AddressFamily.AF_INET)}
+
+_EMPTY = PrivSet.empty()
+_LOOKUP = Priv.LOOKUP.bit
+#: What a session holds on a pipe it minted itself: all it needs.
+_PIPE_PRIVS = PrivSet.of(Priv.READ, Priv.WRITE, Priv.APPEND, Priv.STAT, Priv.PATH)
 
 
 class ShillPolicy(MacPolicy):
@@ -115,7 +120,8 @@ class ShillPolicy(MacPolicy):
         if session is None:
             return 0
         pm = privmap_of(obj)
-        privs = pm.privs_for(session.sid) if pm is not None else PrivSet.empty()
+        privs = pm.privs_for(session.sid) if pm is not None else _EMPTY
+        held = privs.mask & priv.bit
         engine = engine_for(session, self.kernel)
         request = None
         if engine is not None and not engine.passive:
@@ -130,7 +136,7 @@ class ShillPolicy(MacPolicy):
             )
             decision = engine.pre_check(request)
             if decision is Decision.ALLOW:
-                if not privs.has(priv):
+                if not held:
                     session.log.engine_allow(
                         session.sid, operation, request.target,
                         f"+{priv.value} allowed by {engine.name}")
@@ -139,13 +145,12 @@ class ShillPolicy(MacPolicy):
                 session.log.deny(session.sid, operation, request.target,
                                  f"+{priv.value} (denied by {engine.name})")
                 return errno_.EACCES
-        if privs.has(priv):
+        if held:
             if request is not None:
                 engine.post_check(request, True)
             return 0
         if session.debug:
-            ensure_privmap(obj).merge(session.sid, PrivSet.of(priv))
-            self.kernel.label_mutation(session.sid)
+            self.sessions.merge_privs(session, obj, PrivSet.of(priv))
             session.log.auto_grant(session.sid, operation, self._describe(obj), priv)
             if request is not None:
                 engine.post_check(request, True)
@@ -206,15 +211,12 @@ class ShillPolicy(MacPolicy):
         if pm is None:
             return
         privs = pm.privs_for(session.sid)
-        if not privs.has(Priv.LOOKUP):
+        if not privs.mask & _LOOKUP:
             return
         derived = privs.derived_set(Priv.LOOKUP)
-        if len(derived) == 0:
+        if not derived.mask:
             return
-        conflicts = ensure_privmap(vp).merge(session.sid, derived)
-        self.kernel.label_mutation(session.sid)
-        session.merge_conflicts.extend(conflicts)
-        session.granted_objects.append(vp)
+        self.sessions.merge_privs(session, vp, derived)
 
     def vnode_check_open(self, proc: "Process", vp: Vnode, accmode: int) -> int:
         from repro.kernel.cred import R_OK, W_OK, X_OK
@@ -252,15 +254,12 @@ class ShillPolicy(MacPolicy):
         if pm is None:
             return
         privs = pm.privs_for(session.sid)
-        if not privs.has(priv):
+        if not privs.mask & priv.bit:
             return
         derived = privs.derived_set(priv)
-        if len(derived) == 0:
+        if not derived.mask:
             return
-        conflicts = ensure_privmap(vp).merge(session.sid, derived)
-        self.kernel.label_mutation(session.sid)
-        session.merge_conflicts.extend(conflicts)
-        session.granted_objects.append(vp)
+        self.sessions.merge_privs(session, vp, derived)
 
     def vnode_check_unlink(self, proc: "Process", dvp: Vnode, vp: Vnode, name: str) -> int:
         # Deletion requires the unlink privilege on the *target*: this is
@@ -334,11 +333,7 @@ class ShillPolicy(MacPolicy):
         session = self._effective_session(proc)
         if session is None:
             return
-        # A pipe the session minted itself is fully usable by it.
-        full = PrivSet.of(Priv.READ, Priv.WRITE, Priv.APPEND, Priv.STAT, Priv.PATH)
-        ensure_privmap(pipe).merge(session.sid, full)
-        self.kernel.label_mutation(session.sid)
-        session.granted_objects.append(pipe)
+        self.sessions.merge_privs(session, pipe, _PIPE_PRIVS)
 
     def pipe_check_read(self, proc: "Process", pipe: "Pipe") -> int:
         return self._require(proc, pipe, Priv.READ, "pipe-read")

@@ -18,11 +18,18 @@ privileges as the parent") or an explicit privilege set (``+lookup with
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterable, Iterator, Mapping, Optional
 
 
 class Priv(enum.Enum):
-    """The 24 filesystem privileges."""
+    """The 24 filesystem privileges.
+
+    ``bit`` is the member's bit in a :class:`PrivSet` mask: bit *i* for
+    the *i*-th privilege in declaration order.
+    """
+
+    bit: int
 
     # data access
     READ = "read"
@@ -57,6 +64,9 @@ class Priv(enum.Enum):
         return f"+{self.value}"
 
 
+for _index, _priv in enumerate(Priv):
+    _priv.bit = 1 << _index
+
 #: Privileges whose exercise mints capabilities for *other* objects; only
 #: these may carry ``with {...}`` modifiers.
 DERIVING_PRIVS = frozenset(
@@ -79,6 +89,47 @@ def priv_from_name(name: str) -> Priv:
 
 Modifier = Optional[frozenset[Priv]]
 
+_PRIVS = tuple(Priv)
+_ALL_MASK = (1 << len(_PRIVS)) - 1
+_DERIVING_BITS = tuple(p.bit for p in _PRIVS if p in DERIVING_PRIVS)
+_DERIVING_MASK = sum(_DERIVING_BITS)
+#: ``(bit, "+name")`` in name order, the order ``repr`` lists privileges in.
+_NAMED_BITS = tuple((p.bit, f"+{p.value}") for p in sorted(_PRIVS, key=lambda p: p.value))
+
+#: Frozenset views, and reprs, kept per process (each memo holds this
+#: many).  A run meets a few dozen distinct sets; audit grant and revoke
+#: lines format one for every grant.
+MASK_VIEWS = 256
+
+
+@functools.lru_cache(maxsize=MASK_VIEWS)
+def _members(mask: int) -> frozenset[Priv]:
+    return frozenset(p for p in _PRIVS if mask & p.bit)
+
+
+@functools.lru_cache(maxsize=MASK_VIEWS)
+def _repr(mask: int, mods: tuple[tuple[int, int], ...]) -> str:
+    explicit = dict(mods)
+    parts = []
+    for bit, name in _NAMED_BITS:
+        if mask & bit:
+            mod = explicit.get(bit)
+            if mod is None:
+                parts.append(name)
+            else:
+                inner = ",".join(n for b, n in _NAMED_BITS if mod & b)
+                parts.append(f"{name} with {{{inner}}}")
+    return "{" + ", ".join(parts) + "}"
+
+
+def _mask_of(privs: Iterable[Priv]) -> int:
+    mask = 0
+    for priv in privs:
+        if not isinstance(priv, Priv):
+            raise TypeError(f"not a privilege: {priv!r}")
+        mask |= priv.bit
+    return mask
+
 
 class PrivSet(Mapping[Priv, Modifier]):
     """An immutable privilege set with per-privilege derive modifiers.
@@ -87,70 +138,98 @@ class PrivSet(Mapping[Priv, Modifier]):
     (``None`` = derived objects inherit this whole set; a frozenset =
     derived objects get exactly those privileges).  Modifiers on
     non-deriving privileges are rejected.
+
+    The set is kept as a C MAC module would keep it in a label: ``mask``
+    has the ``bit`` of every held privilege, and ``_mods`` maps the bit of
+    each deriving privilege that carries an explicit ``with {...}`` to
+    that modifier's mask.  Inherit modifiers have no entry.  Iteration
+    follows declaration order.
     """
 
-    __slots__ = ("_privs",)
+    __slots__ = ("mask", "_mods")
+
+    mask: int
+    _mods: dict[int, int]
 
     def __init__(self, privs: Mapping[Priv, Modifier] | Iterable[tuple[Priv, Modifier]] = ()):
-        items = dict(privs)
-        for priv, modifier in items.items():
+        mask = 0
+        mods: dict[int, int] = {}
+        for priv, modifier in dict(privs).items():
             if not isinstance(priv, Priv):
                 raise TypeError(f"not a privilege: {priv!r}")
+            mask |= priv.bit
             if modifier is not None:
-                if priv not in DERIVING_PRIVS:
+                if not priv.bit & _DERIVING_MASK:
                     raise ValueError(f"modifier on non-deriving privilege {priv!r}")
-                items[priv] = frozenset(modifier)
-        self._privs: dict[Priv, Modifier] = items
+                mods[priv.bit] = _mask_of(modifier)
+        self.mask = mask
+        self._mods = mods
+
+    @classmethod
+    def _make(cls, mask: int, mods: dict[int, int]) -> "PrivSet":
+        """Build from a mask and modifier masks already known valid."""
+        new = object.__new__(cls)
+        new.mask = mask
+        new._mods = mods
+        return new
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def of(cls, *privs: Priv) -> "PrivSet":
         """A set of privileges, all with the inherit modifier."""
-        return cls({p: None for p in privs})
+        return cls._make(_mask_of(privs), {})
 
     @classmethod
     def full(cls) -> "PrivSet":
         """All 24 privileges; deriving privileges inherit the full set."""
-        return cls({p: None for p in Priv})
+        return _FULL
 
     @classmethod
     def empty(cls) -> "PrivSet":
-        return cls({})
+        return _EMPTY
 
     def with_modifier(self, priv: Priv, mods: Iterable[Priv]) -> "PrivSet":
         """Return a copy where ``priv`` carries ``with {mods}``."""
-        items = dict(self._privs)
-        items[priv] = frozenset(mods)
-        return PrivSet(items)
+        if not isinstance(priv, Priv):
+            raise TypeError(f"not a privilege: {priv!r}")
+        if not priv.bit & _DERIVING_MASK:
+            raise ValueError(f"modifier on non-deriving privilege {priv!r}")
+        return PrivSet._make(self.mask | priv.bit, {**self._mods, priv.bit: _mask_of(mods)})
 
     def adding(self, *privs: Priv) -> "PrivSet":
-        items = dict(self._privs)
-        for p in privs:
-            items.setdefault(p, None)
-        return PrivSet(items)
+        return PrivSet._make(self.mask | _mask_of(privs), self._mods)
 
     def removing(self, *privs: Priv) -> "PrivSet":
-        items = {p: m for p, m in self._privs.items() if p not in privs}
-        return PrivSet(items)
+        mask = self.mask & ~_mask_of(privs)
+        return PrivSet._make(mask, {b: m for b, m in self._mods.items() if mask & b})
 
     # -- queries ---------------------------------------------------------------
 
     def has(self, priv: Priv) -> bool:
-        return priv in self._privs
+        return self.mask & priv.bit != 0
 
     def modifier(self, priv: Priv) -> Modifier:
-        return self._privs[priv]
+        if not self.mask & priv.bit:
+            raise KeyError(priv)
+        mod = self._mods.get(priv.bit)
+        return None if mod is None else _members(mod)
 
     def privs(self) -> frozenset[Priv]:
-        return frozenset(self._privs)
+        return _members(self.mask)
+
+    def _effective(self, bit: int) -> int:
+        """The mask a capability derived via the held privilege ``bit``
+        would hold: the explicit modifier, else this whole set."""
+        return self._mods.get(bit, self.mask)
 
     def effective_modifier(self, priv: Priv) -> frozenset[Priv]:
         """The modifier with ``None`` (inherit) resolved to this set's own
         privileges — the set a capability derived via ``priv`` would hold.
         """
-        modifier = self._privs[priv]
-        return self.privs() if modifier is None else modifier
+        if not self.mask & priv.bit:
+            raise KeyError(priv)
+        return _members(self._effective(priv.bit))
 
     def derived_set(self, priv: Priv) -> "PrivSet":
         """The :class:`PrivSet` for a capability derived via ``priv``.
@@ -159,22 +238,24 @@ class PrivSet(Mapping[Priv, Modifier]):
         as its parent capability" — the whole set including modifiers.
         Explicit modifier: exactly those privileges (inheriting onward).
         """
-        modifier = self._privs[priv]
-        if modifier is None:
+        if not self.mask & priv.bit:
+            raise KeyError(priv)
+        mod = self._mods.get(priv.bit)
+        if mod is None:
             return self
-        return PrivSet.of(*modifier)
+        return PrivSet._make(mod, {})
 
     def subset_of(self, other: "PrivSet") -> bool:
         """Is every privilege (and every derivable consequence) of ``self``
         also available via ``other``?  Used for contract checks and for
         the parent-session bound when granting to child sessions.
         """
-        for priv in self._privs:
-            if priv not in other._privs:
+        mask = self.mask
+        if mask & ~other.mask:
+            return False
+        for bit in _DERIVING_BITS:
+            if mask & bit and self._effective(bit) & ~other._effective(bit):
                 return False
-            if priv in DERIVING_PRIVS:
-                if not self.effective_modifier(priv) <= other.effective_modifier(priv):
-                    return False
         return True
 
     def restricted_to(self, allowed: "PrivSet") -> "PrivSet":
@@ -182,38 +263,60 @@ class PrivSet(Mapping[Priv, Modifier]):
         keep only privileges present in ``allowed``, taking the *narrower*
         modifier on deriving privileges.
         """
-        items: dict[Priv, Modifier] = {}
-        for priv, modifier in self._privs.items():
-            if priv not in allowed._privs:
-                continue
-            if priv in DERIVING_PRIVS:
-                mine = self.effective_modifier(priv)
-                theirs = allowed.effective_modifier(priv)
-                narrowed = mine & theirs
-                items[priv] = frozenset(narrowed)
-            else:
-                items[priv] = None
-        return PrivSet(items)
+        mask = self.mask & allowed.mask
+        mods = {
+            bit: self._effective(bit) & allowed._effective(bit)
+            for bit in _DERIVING_BITS
+            if mask & bit
+        }
+        return PrivSet._make(mask, mods)
+
+    def merge(self, incoming: "PrivSet") -> tuple["PrivSet", int]:
+        """``incoming`` merged into this set without amplification.
+
+        Privileges this set lacks are added with their modifiers.  A
+        deriving privilege both sets hold with different effective
+        modifiers keeps this set's modifier.  Returns the merged set —
+        ``self`` when nothing is added — and the mask of those refused
+        privileges.
+        """
+        mask = self.mask
+        inc = incoming.mask
+        refused = 0
+        both = mask & inc & _DERIVING_MASK
+        if both:
+            mine, theirs = self._mods, incoming._mods
+            for bit in _DERIVING_BITS:
+                if both & bit and mine.get(bit, mask) != theirs.get(bit, inc):
+                    refused |= bit
+        added = inc & ~mask
+        if not added:
+            return self, refused
+        mods = self._mods
+        if incoming._mods and added & _DERIVING_MASK:
+            mods = {**mods, **{b: m for b, m in incoming._mods.items() if added & b}}
+        return PrivSet._make(mask | added, mods), refused
 
     # -- Mapping protocol ---------------------------------------------------------
 
     def __getitem__(self, priv: Priv) -> Modifier:
-        return self._privs[priv]
+        if not isinstance(priv, Priv):
+            raise KeyError(priv)
+        return self.modifier(priv)
 
     def __iter__(self) -> Iterator[Priv]:
-        return iter(self._privs)
+        mask = self.mask
+        return (p for p in _PRIVS if mask & p.bit)
 
     def __len__(self) -> int:
-        return len(self._privs)
+        return self.mask.bit_count()
 
-    def _canonical(self) -> frozenset:
+    def _canonical(self) -> tuple:
         """Equality compares *effective* modifiers: an inherit modifier and
         an explicit modifier naming the same privileges are the same
         authority (their derivation chains coincide)."""
-        return frozenset(
-            (p, self.effective_modifier(p) if p in DERIVING_PRIVS else None)
-            for p in self._privs
-        )
+        mask = self.mask
+        return mask, tuple(self._effective(bit) for bit in _DERIVING_BITS if mask & bit)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrivSet):
@@ -224,15 +327,12 @@ class PrivSet(Mapping[Priv, Modifier]):
         return hash(self._canonical())
 
     def __repr__(self) -> str:
-        parts = []
-        for priv in sorted(self._privs, key=lambda p: p.value):
-            modifier = self._privs[priv]
-            if modifier is None:
-                parts.append(f"+{priv.value}")
-            else:
-                inner = ",".join(sorted(f"+{m.value}" for m in modifier))
-                parts.append(f"+{priv.value} with {{{inner}}}")
-        return "{" + ", ".join(parts) + "}"
+        # Dict order only splits equal sets across memo entries.
+        return _repr(self.mask, tuple(self._mods.items()))
+
+
+_EMPTY = PrivSet._make(0, {})
+_FULL = PrivSet._make(_ALL_MASK, {})
 
 
 class SockPriv(enum.Enum):

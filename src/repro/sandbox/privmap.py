@@ -13,7 +13,7 @@ privileges."
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.sandbox.privileges import DERIVING_PRIVS, Priv, PrivSet
 
@@ -22,9 +22,13 @@ if TYPE_CHECKING:
 
 POLICY_SLOT = "shill"
 
+_EMPTY = PrivSet.empty()
+_DERIVING = tuple(p for p in Priv if p in DERIVING_PRIVS)
+
 
 class MergeConflict:
-    """Record of a refused merge (conflicting modifiers), for audit logs."""
+    """A refused merge: the session keeps ``existing`` as the effective
+    modifier of ``priv`` and ``incoming`` is dropped."""
 
     __slots__ = ("sid", "priv", "existing", "incoming")
 
@@ -51,19 +55,13 @@ class PrivMap:
         self._grants: dict[int, PrivSet] = {}
 
     def privs_for(self, sid: int) -> PrivSet:
-        return self._grants.get(sid, PrivSet.empty())
+        return self._grants.get(sid, _EMPTY)
+
+    def __contains__(self, sid: int) -> bool:
+        return sid in self._grants
 
     def sessions(self) -> list[int]:
         return sorted(self._grants)
-
-    def set_initial(self, sid: int, privs: PrivSet) -> None:
-        """Explicit grant at sandbox-setup time (before ``shill_enter``).
-
-        Multiple capabilities to the same object union their plain
-        privileges but conflicting deriving-modifiers follow the
-        no-amplification rule, same as propagation.
-        """
-        self.merge(sid, privs)
 
     def merge(self, sid: int, incoming: PrivSet) -> list[MergeConflict]:
         """Merge ``incoming`` privileges for ``sid``; returns refused merges.
@@ -72,28 +70,27 @@ class PrivMap:
         * present with an identical modifier → no-op;
         * present with a *different* modifier (deriving privs only) →
           **kept as-is**: merging could amplify privilege, so the sandbox
-          refuses and records the conflict.
+          refuses and reports the conflict.
+
+        A merge that adds no privilege stores nothing.
         """
         existing = self._grants.get(sid)
         if existing is None:
             self._grants[sid] = incoming
             return []
-        conflicts: list[MergeConflict] = []
-        items = {p: existing.modifier(p) for p in existing}
-        for priv in incoming:
-            new_mod = incoming.modifier(priv)
-            if priv not in items:
-                items[priv] = new_mod
-                continue
-            if priv in DERIVING_PRIVS:
-                old_eff = existing.effective_modifier(priv)
-                new_eff = incoming.effective_modifier(priv)
-                if old_eff != new_eff:
-                    conflicts.append(MergeConflict(sid, priv, old_eff, new_eff))
-                    continue  # keep the existing entry; no merge
-            # plain privilege already present (or identical modifier): no-op
-        self._grants[sid] = PrivSet(items)
-        return conflicts
+        if existing is incoming:
+            return []
+        merged, refused = existing.merge(incoming)
+        if merged is not existing:
+            self._grants[sid] = merged
+        if not refused:
+            return []
+        return [
+            MergeConflict(sid, priv, existing.effective_modifier(priv),
+                          incoming.effective_modifier(priv))
+            for priv in _DERIVING
+            if refused & priv.bit
+        ]
 
     def drop_session(self, sid: int) -> None:
         self._grants.pop(sid, None)
@@ -127,16 +124,3 @@ def ensure_privmap(obj) -> PrivMap:
         label.set(POLICY_SLOT, pm)
     assert isinstance(pm, PrivMap)
     return pm
-
-
-def drop_session_everywhere(sid: int, objects: Iterable) -> None:
-    """Asynchronous-cleanup stand-in: remove a dead session's grants from
-    the objects it was granted (the kernel's "asynchronous cleanup of
-    expired SHILL sandbox sessions" that the Find benchmark contends with).
-    """
-    for obj in objects:
-        pm = privmap_of(obj)
-        if pm is not None:
-            pm.drop_session(sid)
-            if not pm.sessions():
-                obj.label.clear(POLICY_SLOT)

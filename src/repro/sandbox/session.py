@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import SandboxError
 from repro.sandbox.audit import AuditLog
 from repro.sandbox.privileges import PrivSet, SocketPerms
-from repro.sandbox.privmap import (
-    POLICY_SLOT,
-    MergeConflict,
-    ensure_privmap,
-    privmap_of,
-)
+from repro.sandbox.privmap import POLICY_SLOT, ensure_privmap, privmap_of
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
@@ -59,9 +54,9 @@ class Session:
         self.socket_perms: SocketPerms | None = None
         self.debug = debug
         self.log = AuditLog()
-        # Objects this session holds grants on, for end-of-life cleanup.
+        # Objects this session holds grants on, for end-of-life cleanup:
+        # each once, in the order its first grant reached it.
         self.granted_objects: list[object] = []
-        self.merge_conflicts: list[MergeConflict] = []
 
     def attach(self, proc: "Process") -> None:
         """Add a process to this session (fork inherits the session)."""
@@ -224,12 +219,20 @@ class SessionManager:
                 raise SandboxError(
                     f"grant exceeds parent session's privileges: {privs!r} not within {parent_privs!r}"
                 )
-        pm = ensure_privmap(obj)
-        conflicts = pm.merge(session.sid, privs)
-        self.kernel.label_mutation(session.sid)
-        session.merge_conflicts.extend(conflicts)
-        session.granted_objects.append(obj)
+        self.merge_privs(session, obj, privs)
         session.log.grant(session.sid, _describe(self.kernel, obj), privs)
+
+    def merge_privs(self, session: Session, obj: object, privs: PrivSet) -> None:
+        """Merge ``privs`` into ``session``'s entry in ``obj``'s privilege
+        map and bump the label epoch.  Grants, propagation, pipe creation
+        and debug auto-grants all land here; the merge that creates the
+        entry records ``obj`` for teardown to revoke."""
+        pm = ensure_privmap(obj)
+        first = session.sid not in pm
+        pm.merge(session.sid, privs)
+        self.kernel.label_mutation(session.sid)
+        if first:
+            session.granted_objects.append(obj)
 
     def grant_pipe_factory(self, session: Session) -> None:
         if session.entered:

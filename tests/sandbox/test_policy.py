@@ -3,6 +3,8 @@ the Figure 8 worked example, and Figure 7's denied resources."""
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.errors import SysError
@@ -457,3 +459,40 @@ class TestDebugMode:
         sb = sandbox().enter()
         expect_eacces(sb.sys.open, "/home/alice/dog.jpg", O_RDONLY)
         assert sb.session.log.denials()
+
+    def test_debug_auto_grants_are_revoked_at_teardown(self):
+        """An auto-grant is a grant: teardown revokes and audits it, so a
+        finished debug run leaves no label behind for later snapshots."""
+        import pickle
+
+        from repro.api import World
+        from repro.kernel import serialize
+
+        world = World().boot()
+        result = world.sandbox("", debug=True).exec(["/bin/cat", "/etc/passwd"])
+        assert result.ok and result.auto_granted
+        kernel = world.kernel
+        policy = kernel.mac.find("shill")
+        assert not policy.sessions.live_sessions()
+
+        def vnodes(vp):
+            yield vp
+            for child in (vp.entries or {}).values():
+                yield from vnodes(child)
+
+        assert [vp for vp in vnodes(kernel.vfs.root) if vp.label.get("shill") is not None] == []
+        log = policy.sessions.audit_records()[-1].log
+        revoked = {e.target for e in log.revocations()}
+        assert {e.target for e in log.auto_grants()} <= revoked
+
+        modules: set[str] = set()
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                modules.add(module)
+                return super().find_class(module, name)
+
+        blob = serialize.snapshot_kernel(kernel)
+        Recorder(io.BytesIO(blob[serialize._HEADER_LEN:])).load()
+        assert "repro.kernel.kernel" in modules
+        assert not modules & {"repro.sandbox.privileges", "repro.sandbox.privmap"}

@@ -16,13 +16,13 @@ class TestBasics:
 
     def test_set_and_get(self):
         pm = PrivMap()
-        pm.set_initial(1, PrivSet.of(Priv.READ))
+        pm.merge(1, PrivSet.of(Priv.READ))
         assert pm.privs_for(1).has(Priv.READ)
         assert not pm.privs_for(2).has(Priv.READ)
 
     def test_drop_session(self):
         pm = PrivMap()
-        pm.set_initial(1, PrivSet.of(Priv.READ))
+        pm.merge(1, PrivSet.of(Priv.READ))
         pm.drop_session(1)
         assert pm.privs_for(1) == PrivSet.empty()
 
