@@ -2,14 +2,15 @@
 vs remote vs serve.
 
 The thread executor serialises interpreter work on the GIL, so it buys
-concurrency but not cores; the process executor ships a picklable kernel
-snapshot to each worker; the store executor boots workers from a
-persistent on-disk snapshot store instead of re-pickling per run; the
-remote executor shards jobs across *agent host* subprocesses over the
-wire protocol, each agent booting from its own store; the serve
-executor reaches the same agents through a long-lived *gateway*
-subprocess the agents announce themselves to.  This file pins the
-claims the same way Figure 9 pins its rows:
+concurrency but not cores; the process and store executors boot their
+workers from a kernel snapshot in a snapshot store, which the process
+executor keeps in a temporary directory of its own and the store
+executor keeps on disk across runs; the remote executor shards jobs
+across *agent host* subprocesses over the wire protocol, each agent
+booting from its own store; the serve executor reaches the same agents
+through a long-lived *gateway* subprocess the agents announce
+themselves to.  This file pins the claims the same way Figure 9 pins
+its rows:
 
 * **op-gated equivalence** — every executor executes the identical
   deterministic kernel work (summed per-job op counts equal) and

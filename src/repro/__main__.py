@@ -19,9 +19,9 @@ Usage::
         Run many ambient scripts, each against its own copy-on-write
         fork of one world image (boot cost is paid once).  --executor
         picks the execution strategy: sequential (default), thread (a
-        thread pool with per-job kernels), process (kernel snapshots
-        shipped to worker processes), or store (worker processes boot
-        from a persistent on-disk snapshot store; see --store), remote
+        thread pool with per-job kernels), process (worker processes
+        boot from a temporary snapshot store), store (the same over a
+        persistent on-disk snapshot store; see --store), remote
         (agent hosts; see --hosts) or serve (a gateway; see --gateway).
         Results are byte-identical whatever the strategy.  --json emits a
         machine-readable summary with the deterministic kernel op
@@ -249,14 +249,15 @@ def _batch_executor(args: argparse.Namespace) -> "Executor | None":
 
 
 def _boot_note(executor) -> str:
-    """One line for ``batch --verbose``: where this run's workers got
-    their machine — ``memory`` (in-process snapshot / forks) or
-    ``store`` (a blob from the persistent store)."""
+    """One line for ``batch --verbose``: where this run's jobs got their
+    machine — ``memory`` (the sequential and thread executors: each job
+    forks the in-process template) or ``store`` (a blob in the
+    executor's snapshot store)."""
     store = getattr(executor, "store", None)
     info = getattr(executor, "boot_info", None)
     if store is None:
         return (f"repro batch: boot source = memory ({executor.name} "
-                "executor; workers restore an in-process snapshot)")
+                "executor; jobs fork the in-process template)")
     digest = None
     template = getattr(executor, "_template", None)
     if template is not None:
@@ -428,9 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     batch_p.add_argument("--fixture", choices=list(FIXTURE_CHOICES), default="jpeg")
     batch_p.add_argument("--executor", choices=EXECUTOR_NAMES, default="sequential",
                          help="execution strategy (default: sequential); "
-                              "'process' fans kernel snapshots out to worker "
-                              "processes, 'store' boots workers from the "
-                              "persistent snapshot store (see --store)")
+                              "'process' boots worker processes from a "
+                              "temporary snapshot store, 'store' from the "
+                              "persistent one (see --store)")
     batch_p.add_argument("--store", default=None, metavar="DIR",
                          help="snapshot store directory for --executor "
                               "store/remote (default: $REPRO_STORE, else the "

@@ -6,10 +6,11 @@ one ambient SHILL script for one user, on every strategy:
 
 * :class:`SequentialExecutor` — the caller's thread; the reference;
 * :class:`ThreadExecutor` — a thread pool (concurrency, not cores);
-* :class:`ProcessExecutor` — kernel snapshots shipped to a process pool;
 * :class:`StoreExecutor` — a process pool whose workers (and
   coordinator) boot from a persistent, content-addressed
   :class:`~repro.kernel.store.SnapshotStore` on disk;
+* :class:`ProcessExecutor` — the same pool over a store in a temporary
+  directory the executor owns and removes;
 * :class:`RemoteExecutor` — jobs sharded across agent *hosts*
   (``python -m repro agent``) over the :mod:`repro.remote.wire`
   protocol, with the snapshot store as the wire format;
@@ -35,10 +36,9 @@ from repro.api.executors.base import (
     run_job,
 )
 from repro.api.executors.local import SequentialExecutor, ThreadExecutor
-from repro.api.executors.process import ProcessExecutor
 from repro.api.executors.remote import RemoteExecutor
 from repro.api.executors.serve import ServeExecutor
-from repro.api.executors.store import StoreBootMixin, StoreExecutor
+from repro.api.executors.store import ProcessExecutor, StoreBootMixin, StoreExecutor
 from repro.kernel.store import SnapshotStore
 
 __all__ = [

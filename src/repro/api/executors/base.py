@@ -159,7 +159,7 @@ class JobTemplate:
     ``token`` identifies the template's exact state — the world digest
     (or an instance key for undigestible worlds) plus the kernel's
     mutation counters — so executors that cache expensive per-template
-    resources (a pickled snapshot, a warm worker pool) know when a
+    resources (a store blob, a warm worker pool) know when a
     rebind actually changed the machine underneath them.  ``fixtures``
     is the world's fixture record; only a snapshot-store link carries
     it (a store boot restores ``world.fixtures`` from the link), so

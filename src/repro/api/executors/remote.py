@@ -1,7 +1,7 @@
 """The remote executor: jobs sharded across agent hosts.
 
 The multi-host member of the executor family.  Where
-:class:`~repro.api.executors.process.ProcessExecutor` fans out to local
+:class:`~repro.api.executors.store.StoreExecutor` fans out to local
 worker processes, :class:`RemoteExecutor` fans out to N **agent
 processes** (``python -m repro agent``) over the wire protocol in
 :mod:`repro.remote.wire` — each agent a host with its own

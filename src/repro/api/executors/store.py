@@ -1,37 +1,66 @@
-"""The store executor: worker fleets that boot from disk.
+"""The process-pool executors: worker fleets that boot from a snapshot store.
 
-A :class:`ProcessExecutor` re-pickles the booted template for every
-fresh pool and ships the whole payload through ``initargs``.  The
-:class:`StoreExecutor` puts the snapshot in a persistent, content-
-addressed :class:`repro.kernel.store.SnapshotStore` instead:
+Every worker process boots one way.  The coordinator puts the bound
+template's snapshot in a content-addressed
+:class:`repro.kernel.store.SnapshotStore`, and the pool initializer of
+each worker restores it from ``(store root, blob digest, scripts,
+default user)`` — initargs carry a path and a digest, never a machine,
+and a fleet of N workers reads one shared file.  Every job then forks
+the worker's machine: restore-once, fork-per-job.  A worker returns the
+job's :class:`~repro.api.RunResult` or raises
+:class:`~repro.api.executors.base.BatchExecutionError`, which pickles
+with its traceback text, so an engine failure crosses the process
+boundary typed and attributed.
 
-* workers receive ``(store_root, snapshot_digest)`` and read the blob
-  from disk in their initializer — no machine bytes cross the process-
-  spawn channel, and a fleet of N workers reads one shared file;
-* the world digest is **linked** to its snapshot, so a later run — in a
-  *different process*, on a different day, from a restored CI cache —
-  resolves the link and restores the template straight from disk:
+The two executors differ only in whose store it is:
+
+* :class:`StoreExecutor` boots from a **persistent** store (a directory
+  the caller names, or the user's default root).  The world digest is
+  **linked** to its snapshot, so a later run — in a *different
+  process*, on a different day, from a restored CI cache — resolves the
+  link and restores the template straight from disk:
   :meth:`StoreBootMixin.prepare` then performs **zero template-build
   kernel ops** (gated by ``benchmarks/test_snapshot_store.py``);
-* the restored template is seeded into the in-process boot cache, so
-  everything downstream (forks per job, result-cache keys, pristine
-  checks) behaves exactly as if the world had been built.
+* :class:`ProcessExecutor` is a store executor over a temporary
+  directory it creates, which lives as long as the executor and is
+  removed when the executor is garbage-collected or at interpreter
+  exit.  It never touches the user's store.
 
-The store-boot behaviour lives in :class:`StoreBootMixin` because two
-executors share it: this one (store → local worker processes) and the
-:class:`~repro.api.executors.remote.RemoteExecutor` (store → the wire →
-agent hosts, each with a store of its own).  The store is the wire
-format on disk, and ``prepare → bind → submit`` is the boot protocol a
-remote host follows.
+A restored template is seeded into the in-process boot cache, so
+everything downstream (forks per job, result-cache keys, pristine
+checks) behaves exactly as if the world had been built.  The pool is
+cached per template *token* and script registry: rebinding the same
+machine state reuses warm workers, so an executor held across many
+batches pays the snapshot + spawn cost once; one constructed per run
+pays it per run.
+
+The coordinator-side store boot lives in :class:`StoreBootMixin`
+because the :class:`~repro.api.executors.remote.RemoteExecutor` shares
+it (store → the wire → agent hosts, each with a store of its own).  The
+store is the wire format on disk, and ``prepare → bind → submit`` is the
+boot protocol a remote host follows.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+import traceback as _traceback
+import weakref
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.api.executors.base import BootInfo, JobTemplate
-from repro.api.executors.process import ProcessExecutor, _store_worker_init
+from repro.api.executors.base import (
+    BatchExecutionError,
+    BootInfo,
+    Executor,
+    ExecutorJob,
+    JobHandle,
+    JobTemplate,
+    run_job,
+)
+from repro.api.results import RunResult
 from repro.kernel.store import SnapshotStore
 
 if TYPE_CHECKING:
@@ -58,8 +87,8 @@ def portable_fixtures(fixtures: dict) -> dict:
 
 class StoreBootMixin:
     """Store-backed ``prepare()`` + snapshot bookkeeping, shared by the
-    executors whose boot path goes through a persistent
-    :class:`SnapshotStore` (local worker fleets and remote agents).
+    executors whose boot path goes through a :class:`SnapshotStore`
+    (local worker fleets and remote agents).
 
     Mixed in *before* the concrete :class:`~repro.api.executors.base.
     Executor` base so :meth:`prepare` overrides the plain build path;
@@ -168,7 +197,9 @@ class StoreBootMixin:
         from repro.kernel.serialize import snapshot_kernel
 
         snapshot_digest = self._snapshots.get(template.token)
-        if snapshot_digest is None:
+        if snapshot_digest is None or not self.store.has(snapshot_digest):
+            # A blob the store's LRU cap evicted since is put back, or a
+            # rebind to an older template would boot workers off nothing.
             snapshot_digest = self.store.put(snapshot_kernel(template.kernel))
             self._snapshots[template.token] = snapshot_digest
         if template.digest is not None:
@@ -185,8 +216,41 @@ class StoreBootMixin:
         return snapshot_digest
 
 
-class StoreExecutor(StoreBootMixin, ProcessExecutor):
-    """A process executor whose workers boot from a persistent store.
+# ---------------------------------------------------------------------------
+# worker plumbing (module-level: worker processes must import it by name)
+# ---------------------------------------------------------------------------
+
+#: Per-worker-process state: the restored template, installed once by the
+#: pool initializer.
+_WORKER_STATE: dict = {}
+
+
+def _worker_init(store_root: str, snapshot_digest: str, scripts: tuple,
+                 default_user: str) -> None:
+    """Pool initializer: restore the template from its store blob, once
+    per worker."""
+    _WORKER_STATE["template"] = JobTemplate(
+        kernel=SnapshotStore(store_root).restore(snapshot_digest),
+        scripts=scripts, default_user=default_user, digest=None,
+        token=("worker",))
+
+
+def _worker_run(job: ExecutorJob) -> RunResult:
+    """Run one job in a worker.  Anything but a result leaves as a
+    :class:`BatchExecutionError` naming the job, so the coordinator's
+    handle re-raises it typed, original traceback text included."""
+    try:
+        return run_job(_WORKER_STATE["template"], job)
+    except BatchExecutionError:
+        raise
+    except Exception as err:
+        raise BatchExecutionError(job.name, job.user,
+                                  _traceback.format_exc()) from err
+
+
+class StoreExecutor(StoreBootMixin, Executor):
+    """Jobs run in a :class:`~concurrent.futures.ProcessPoolExecutor`
+    whose workers boot from a persistent store.
 
     ``store`` is a :class:`SnapshotStore`, a directory path, or ``None``
     (the default store root: ``$REPRO_STORE`` or the user cache dir).
@@ -212,14 +276,76 @@ class StoreExecutor(StoreBootMixin, ProcessExecutor):
                  workers: "int | None" = None) -> None:
         super().__init__(workers)
         self._init_store(store)
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_token: tuple | None = None  # (template token, scripts)
 
-    # -- worker-side boot --------------------------------------------------
-
-    def _worker_boot(self, template: JobTemplate) -> tuple:
+    def _ensure_pool(self, template: JobTemplate) -> ProcessPoolExecutor:
+        # The pool identity is everything its initializer baked into the
+        # workers: the machine state (token) *and* the script registry —
+        # a rebind with different scripts must rebuild the workers, or
+        # jobs would resolve `require` against a stale registry.
+        pool_key = (template.token, template.scripts)
+        if self._pool is not None and self._pool_token == pool_key:
+            return self._pool
+        self.close()
         snapshot_digest = self._snapshot_into_store(template)
-        return (_store_worker_init,
-                (str(self.store.root), snapshot_digest, template.scripts,
-                 template.default_user))
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_worker_init,
+            initargs=(str(self.store.root), snapshot_digest,
+                      template.scripts, template.default_user))
+        self._pool_token = pool_key
+        return self._pool
+
+    def _submit(self, template: JobTemplate, job: ExecutorJob) -> JobHandle:
+        pool = self._ensure_pool(template)
+        return JobHandle(job, pool.submit(_worker_run, job))
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+            self._pool_token = None
 
     def __repr__(self) -> str:
-        return f"<StoreExecutor workers={self.workers} store={self.store.root}>"
+        return (f"<{type(self).__name__} workers={self.workers} "
+                f"store={self.store.root}>")
+
+
+class ProcessExecutor(StoreExecutor):
+    """A :class:`StoreExecutor` over a temporary directory it owns.
+
+    The directory is made under :func:`tempfile.gettempdir` and removed
+    when the executor is garbage-collected, or at interpreter exit, after
+    its pool is shut; :meth:`close` only shuts the pool, so a closed
+    executor can still run batches.
+
+    Example::
+
+        from repro.api import Batch, ProcessExecutor, World
+
+        world = World().for_user("alice").with_jpeg_samples()
+        with ProcessExecutor(workers=2) as ex:
+            batch = Batch(world, cache=False)
+            batch.add('#lang shill/ambient\\nappend(stdout, "a\\\\n");\\n')
+            batch.add('#lang shill/ambient\\nappend(stdout, "b\\\\n");\\n')
+            results = batch.run(executor=ex)
+        assert [r.stdout for r in results] == ["a\\n", "b\\n"]
+    """
+
+    name = "process"
+
+    def __init__(self, workers: "int | None" = None) -> None:
+        root = tempfile.mkdtemp(prefix="repro-process-")
+        super().__init__(store=root, workers=workers)
+        # The finalizer holds the attribute dict, not the executor, so
+        # it sees the pool current at collection time.
+        weakref.finalize(self, _discard_owned_store, vars(self), root)
+
+
+def _discard_owned_store(state: dict, root: str) -> None:
+    """Remove a collected :class:`ProcessExecutor`'s directory.  Its pool
+    is shut first: a pool nobody closed may have workers still starting,
+    and they read their machine from the directory."""
+    if state["_pool"] is not None:
+        state["_pool"].shutdown(wait=True)
+    shutil.rmtree(root, ignore_errors=True)

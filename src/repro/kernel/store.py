@@ -6,11 +6,12 @@ that outlives the process.  A :class:`SnapshotStore` is a directory of
 **blobs keyed by snapshot digest** (the SHA-256 of the snapshot bytes,
 exactly :func:`repro.kernel.serialize.snapshot_digest`), plus an index
 mapping **world digests** (the `repro.api.World` configuration hash) to
-the snapshot they boot to.  Worker fleets — the ``StoreExecutor`` in
-:mod:`repro.api.executors` — boot by reading a blob from disk instead of
-receiving a multi-hundred-KiB pickle over process ``initargs``, and a
-coordinator whose world digest is already linked skips the template
-build entirely: zero kernel ops, straight from disk.
+the snapshot they boot to.  Every process-pool worker — the
+``ProcessExecutor``'s and the ``StoreExecutor``'s in
+:mod:`repro.api.executors.store` — boots by reading a blob from disk
+(its pool initializer receives a store root and a digest, never a
+machine), and a coordinator whose world digest is already linked skips
+the template build entirely: zero kernel ops, straight from disk.
 
 Layout (everything under ``root``)::
 

@@ -14,7 +14,7 @@ from repro.sandbox.privileges import (
     priv_from_name,
     sock_priv_from_name,
 )
-from repro.sandbox.privmap import MergeConflict, PrivMap, ensure_privmap, privmap_of
+from repro.sandbox.privmap import PrivMap, ensure_privmap, privmap_of
 from repro.sandbox.session import Session, SessionManager
 from repro.sandbox.shilld import RunResult, parse_policy, parse_privspec, run_with_policy
 
@@ -32,7 +32,6 @@ __all__ = [
     "DERIVING_PRIVS",
     "priv_from_name",
     "sock_priv_from_name",
-    "MergeConflict",
     "PrivMap",
     "privmap_of",
     "ensure_privmap",

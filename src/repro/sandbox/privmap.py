@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sandbox.privileges import DERIVING_PRIVS, Priv, PrivSet
+from repro.sandbox.privileges import PrivSet
 
 if TYPE_CHECKING:
     from repro.kernel.vfs import Label
@@ -23,27 +23,6 @@ if TYPE_CHECKING:
 POLICY_SLOT = "shill"
 
 _EMPTY = PrivSet.empty()
-_DERIVING = tuple(p for p in Priv if p in DERIVING_PRIVS)
-
-
-class MergeConflict:
-    """A refused merge: the session keeps ``existing`` as the effective
-    modifier of ``priv`` and ``incoming`` is dropped."""
-
-    __slots__ = ("sid", "priv", "existing", "incoming")
-
-    def __init__(self, sid: int, priv: Priv, existing: frozenset, incoming: frozenset) -> None:
-        self.sid = sid
-        self.priv = priv
-        self.existing = existing
-        self.incoming = incoming
-
-    def __repr__(self) -> str:
-        return (
-            f"MergeConflict(sid={self.sid}, priv=+{self.priv.value}, "
-            f"kept={sorted(p.value for p in self.existing)}, "
-            f"refused={sorted(p.value for p in self.incoming)})"
-        )
 
 
 class PrivMap:
@@ -63,34 +42,28 @@ class PrivMap:
     def sessions(self) -> list[int]:
         return sorted(self._grants)
 
-    def merge(self, sid: int, incoming: PrivSet) -> list[MergeConflict]:
-        """Merge ``incoming`` privileges for ``sid``; returns refused merges.
+    def merge(self, sid: int, incoming: PrivSet) -> int:
+        """Merge ``incoming`` privileges for ``sid``; returns the mask of
+        the refused privileges' ``Priv.bit`` values (0 when none is).
 
         * new privilege → added with its modifier;
         * present with an identical modifier → no-op;
         * present with a *different* modifier (deriving privs only) →
           **kept as-is**: merging could amplify privilege, so the sandbox
-          refuses and reports the conflict.
+          refuses it.
 
         A merge that adds no privilege stores nothing.
         """
         existing = self._grants.get(sid)
         if existing is None:
             self._grants[sid] = incoming
-            return []
+            return 0
         if existing is incoming:
-            return []
+            return 0
         merged, refused = existing.merge(incoming)
         if merged is not existing:
             self._grants[sid] = merged
-        if not refused:
-            return []
-        return [
-            MergeConflict(sid, priv, existing.effective_modifier(priv),
-                          incoming.effective_modifier(priv))
-            for priv in _DERIVING
-            if refused & priv.bit
-        ]
+        return refused
 
     def drop_session(self, sid: int) -> None:
         self._grants.pop(sid, None)

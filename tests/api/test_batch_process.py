@@ -1,9 +1,9 @@
 """The process executor: GIL-free batches with byte-identical results.
 
-``Batch(...).run(executor=ProcessExecutor())`` pickles the booted
-template once, fans the (script, user) jobs out to worker processes that
-restore-and-fork locally, and merges frozen results home in submission
-order.  These tests pin the contract: fingerprints identical to the
+``Batch(...).run(executor=ProcessExecutor())`` snapshots the booted
+template once into a store of its own, fans the (script, user) jobs out
+to worker processes that restore-and-fork locally, and merges frozen
+results home in submission order.  These tests pin the contract: fingerprints identical to the
 sequential executor for every case-study world, result caching and op
 counters working across the process boundary, and typed errors that
 name the failing job.

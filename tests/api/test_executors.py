@@ -439,6 +439,20 @@ class TestStoreExecutor:
         assert result.ok
         assert store.world_links() == {}  # nothing to key a link on
 
+    def test_a_blob_evicted_since_is_put_back(self, tmp_path):
+        """Regression: the executor remembered each template's blob digest
+        and never checked the blob was still there, so a rebind to a
+        template whose blob the LRU cap had evicted booted its workers
+        off nothing and the pool broke."""
+        store = SnapshotStore(tmp_path / "store", max_blobs=1)
+        alice, bob = World().for_user("alice"), World().for_user("bob")
+        with StoreExecutor(store=store, workers=1) as executor:
+            for world in (alice, bob, alice):
+                [result] = Batch(world, cache=False).add(HELLO_AMBIENT) \
+                                                    .run(executor=executor)
+                assert result.stdout == "hello\n"
+        assert len(store) == 1
+
     def test_adopt_template_requires_digest_and_unbooted(self, tmp_path):
         from repro.kernel.kernel import Kernel
 
@@ -447,6 +461,75 @@ class TestStoreExecutor:
         booted = _jpeg_world().boot()
         with pytest.raises(RuntimeError, match="already booted"):
             booted.adopt_template(Kernel())
+
+
+class TestProcessExecutorStore:
+    """A process executor is a store executor over a directory it owns."""
+
+    @pytest.fixture
+    def tempdir(self, tmp_path, monkeypatch):
+        """A private ``tempfile.gettempdir()``, and a default store root
+        that must never appear."""
+        import tempfile
+
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "default-store"))
+        return private
+
+    def test_workers_boot_from_an_owned_directory_under_the_tempdir(
+            self, tempdir, monkeypatch):
+        from repro.api.executors import store as store_module
+        from repro.kernel.store import default_store_root
+
+        initargs = []
+
+        class RecordingPool(store_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initargs.append(kwargs["initargs"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "ProcessPoolExecutor", RecordingPool)
+        with ProcessExecutor(workers=2) as executor:
+            [result] = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT) \
+                                                        .run(executor=executor)
+            assert result.ok
+            [(root, digest, _scripts, user)] = initargs
+            assert executor.store.root.parent == tempdir
+            assert executor.store.root.name.startswith("repro-process-")
+            assert root == str(executor.store.root)
+            assert executor.store.has(digest) and user == "alice"
+        assert not default_store_root().exists()
+
+    def test_the_directory_goes_with_the_executor(self, tempdir):
+        import gc
+
+        executor = ProcessExecutor(workers=2)
+        root = executor.store.root
+        with executor:
+            Batch(_jpeg_world(), cache=False).add(HELLO_AMBIENT) \
+                                             .run(executor=executor)
+        # close() shut the pool, not the store: the executor still runs.
+        [again] = Batch(_jpeg_world(), cache=False).add(HELLO_AMBIENT) \
+                                                   .run(executor=executor)
+        assert again.stdout == "hello\n" and root.exists()
+        executor.close()
+        del executor
+        gc.collect()
+        assert not root.exists()
+        assert list(tempdir.iterdir()) == []
+
+    def test_an_executor_dropped_mid_boot_still_delivers(self, tempdir):
+        """Dropping an unclosed executor right after a submit shuts its
+        pool before its directory goes: the workers, still starting,
+        restore their machine from it."""
+        template = JobTemplate.for_world(_jpeg_world().boot())
+        handles = [ProcessExecutor(workers=2).bind(template).submit(
+                       ExecutorJob(index=0, name="j", source=HELLO_AMBIENT))
+                   for _ in range(3)]
+        assert [h.result(timeout=60).stdout for h in handles] == ["hello\n"] * 3
+        assert list(tempdir.iterdir()) == []
 
 
 class TestExecutorReuse:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
 import sys as _sys
 
 import pytest
@@ -90,6 +92,40 @@ def test_batch_verbose_reports_cache_verdicts(tmp_path, capsys):
     assert "walk.ambient: cache miss" in err
     assert "walk.ambient: cache hit" in err
     assert "cache report: 1 hits, 1 misses, 0 invalidated, 0 uncacheable" in err
+
+
+@pytest.mark.parametrize("executor", ["sequential", "process", "store"])
+def test_batch_verbose_names_the_boot_source(executor, tmp_path, capsys,
+                                             monkeypatch):
+    """Sequential jobs fork the in-process template; process and store
+    workers boot from a blob in the executor's store, which for the
+    process executor is a temporary directory of its own."""
+    import gc
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    script = _walk_script(tmp_path)
+    store = ["--store", str(tmp_path / "snapstore")] if executor == "store" else []
+    argv = ["batch", script, "--no-cache", "--verbose", "--executor", executor]
+    assert main(argv + store) == 0
+    gc.collect()
+    note = [line for line in capsys.readouterr().err.splitlines()
+            if "boot source" in line]
+    if executor == "sequential":
+        assert note == ["repro batch: boot source = memory (sequential "
+                        "executor; jobs fork the in-process template)"]
+        return
+    [line] = note
+    match = re.fullmatch(r"repro batch: boot source = store "
+                         r"\(blob [0-9a-f]{12}, store (.+)\)", line)
+    assert match, line
+    root = pathlib.Path(match.group(1))
+    if executor == "store":
+        assert root == tmp_path / "snapstore"
+    else:
+        assert root.parent == tmp_path
+        assert root.name.startswith("repro-process-")
+        assert not root.exists()  # removed with the executor
 
 
 def test_batch_store_executor_populates_and_reuses_the_store(tmp_path, capsys):

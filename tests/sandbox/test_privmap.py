@@ -44,8 +44,8 @@ class TestMerge:
     def test_identical_modifier_is_noop(self):
         pm = PrivMap()
         ps = PrivSet.of(Priv.LOOKUP).with_modifier(Priv.LOOKUP, {Priv.STAT})
-        assert pm.merge(1, ps) == []
-        assert pm.merge(1, ps) == []
+        assert pm.merge(1, ps) == 0
+        assert pm.merge(1, ps) == 0
         assert pm.privs_for(1).effective_modifier(Priv.LOOKUP) == {Priv.STAT}
 
     def test_conflicting_modifiers_not_merged(self):
@@ -58,18 +58,20 @@ class TestMerge:
         )
         writable = PrivSet.of(Priv.CREATE_FILE).with_modifier(Priv.CREATE_FILE, {Priv.WRITE})
         pm.merge(1, readonly)
-        conflicts = pm.merge(1, writable)
-        assert len(conflicts) == 1
+        assert pm.merge(1, writable) == Priv.CREATE_FILE.bit
         kept = pm.privs_for(1).effective_modifier(Priv.CREATE_FILE)
         assert kept == {Priv.READ, Priv.STAT, Priv.PATH}  # first grant wins
 
     def test_conflict_records_both_sides(self):
+        """The refused side is named by the returned mask, the kept side
+        by the stored set."""
         pm = PrivMap()
         pm.merge(1, PrivSet.of(Priv.LOOKUP).with_modifier(Priv.LOOKUP, {Priv.READ}))
-        (conflict,) = pm.merge(1, PrivSet.of(Priv.LOOKUP).with_modifier(Priv.LOOKUP, {Priv.WRITE}))
-        assert conflict.priv is Priv.LOOKUP
-        assert conflict.existing == {Priv.READ}
-        assert conflict.incoming == {Priv.WRITE}
+        refused = pm.merge(1, PrivSet.of(Priv.LOOKUP, Priv.STAT)
+                           .with_modifier(Priv.LOOKUP, {Priv.WRITE}))
+        assert refused == Priv.LOOKUP.bit
+        assert pm.privs_for(1).effective_modifier(Priv.LOOKUP) == {Priv.READ}
+        assert pm.privs_for(1).has(Priv.STAT)  # the rest of the merge lands
 
     def test_sessions_are_independent(self):
         pm = PrivMap()
