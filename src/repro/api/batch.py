@@ -94,11 +94,11 @@ __all__ = [
     "result_cache_size",
 ]
 
-#: The default, module-level result cache: a bounded FIFO shared by
+#: The default, module-level result cache: a bounded LRU shared by
 #: every Batch that is not given its own cache.  Each entry is a
 #: ``(result, touched)`` pair — the frozen :class:`RunResult` with its
 #: ``touched`` field stripped, alongside the recorded touched paths the
-#: dependency analyzer's soundness gate needs at probe time.  Old
+#: dependency analyzer's soundness gate needs at probe time.  Stale
 #: entries are evicted so a long-lived process sweeping many distinct
 #: jobs cannot grow without limit (a re-run after eviction just
 #: recomputes deterministically).

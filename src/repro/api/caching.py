@@ -1,8 +1,8 @@
 """A tiny thread-safe bounded map, shared by the API layer's caches.
 
 Two module-level caches ride on this: the boot-image cache
-(:mod:`repro.api.worlds`, LRU) and the run-result cache
-(:mod:`repro.api.batch`, FIFO).  Entries are only ever whole immutable
+(:mod:`repro.api.worlds`) and the run-result cache
+(:mod:`repro.api.batch`).  Entries are only ever whole immutable
 values (template kernels handed out by fork, frozen results), so the
 only concurrency contract needed is that racing inserts agree on one
 winner — ``put`` has setdefault semantics and returns the stored value.
@@ -15,11 +15,11 @@ from typing import Any
 
 
 class BoundedCache:
-    """Insertion-ordered bounded mapping with optional LRU refresh.
+    """Bounded mapping with least-recently-used eviction.
 
-    Eviction drops the oldest entry (least-recently-used when ``lru``,
-    first-inserted otherwise) whenever the bound is exceeded; an evicted
-    entry is simply recomputed by its owner on the next miss.
+    A hit refreshes its entry, and eviction drops the least recently
+    used one whenever the bound is exceeded; an evicted entry is simply
+    recomputed by its owner on the next miss.
 
     Example (a private result cache for one :class:`repro.api.Batch`)::
 
@@ -33,18 +33,17 @@ class BoundedCache:
         assert cache.put("b", 99) == 2  # setdefault semantics
     """
 
-    def __init__(self, maxsize: int, *, lru: bool = False) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self._maxsize = maxsize
-        self._lru = lru
         self._data: dict[Any, Any] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Any) -> Any | None:
         with self._lock:
             value = self._data.get(key)
-            if value is not None and self._lru:
+            if value is not None:
                 self._data[key] = self._data.pop(key)
             return value
 

@@ -301,8 +301,9 @@ class Executor:
 
     Subclasses implement :meth:`_submit` (and optionally
     :meth:`prepare` / :meth:`close`).  An executor is *bound* to a
-    :class:`JobTemplate` before jobs are submitted; rebinding with a
-    different template token invalidates per-template resources.
+    :class:`JobTemplate` before jobs are submitted; per-template
+    resources (a worker pool, a wire template) are keyed by the
+    template's token, so a rebind to another template never reuses them.
     Executors are context managers: ``with ProcessExecutor(8) as ex: ...``
     closes pools on exit.
     """
@@ -342,13 +343,8 @@ class Executor:
 
     def bind(self, template: JobTemplate) -> "Executor":
         """Fix the template subsequent :meth:`submit` calls run against."""
-        if self._template is not None and self._template.token != template.token:
-            self._on_rebind()
         self._template = template
         return self
-
-    def _on_rebind(self) -> None:
-        """Hook: the bound template genuinely changed (different token)."""
 
     # -- the protocol verbs ------------------------------------------------
 

@@ -113,6 +113,8 @@ class RemoteExecutor(StoreBootMixin, Executor):
         self.concurrency = max(1, int(concurrency))
         self.hosts = HostPool(hosts, policy=policy,
                               concurrency=self.concurrency)
+        if not len(self.hosts):
+            raise ValueError("a remote executor needs at least one host")
         super().__init__(workers or len(self.hosts) * self.concurrency)
         self._init_store(store)
         #: "host:port" -> BootInfo of that host's last PREPARE, so tests

@@ -11,7 +11,7 @@ bounded queues, BUSY/RETRY-AFTER backpressure); the client just
 multiplexes channel-tagged SUBMITs, honours BUSY by waiting, and
 re-dials if the gateway itself restarts.
 
-Because the gateway relays PREPARE/NEED/BLOB and SUBMIT/RESULT frames
+Because the gateway relays PREPARE/NEED/READY and SUBMIT/RESULT frames
 to agents that run :func:`repro.api.executors.base.run_job` — the same
 single execution path as every other executor — serve-executor
 fingerprints are byte-identical to sequential ones, and the existing

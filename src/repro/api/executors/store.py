@@ -228,17 +228,27 @@ _WORKER_STATE: dict = {}
 def _worker_init(store_root: str, snapshot_digest: str, scripts: tuple,
                  default_user: str) -> None:
     """Pool initializer: restore the template from its store blob, once
-    per worker."""
+    per worker.  A failed restore is kept, not raised: an initializer
+    that raises breaks the whole pool, and its cause would reach only a
+    log line instead of the jobs' errors."""
+    try:
+        kernel = SnapshotStore(store_root).restore(snapshot_digest)
+    except Exception:
+        _WORKER_STATE["boot_error"] = _traceback.format_exc()
+        return
     _WORKER_STATE["template"] = JobTemplate(
-        kernel=SnapshotStore(store_root).restore(snapshot_digest),
-        scripts=scripts, default_user=default_user, digest=None,
-        token=("worker",))
+        kernel=kernel, scripts=scripts, default_user=default_user,
+        digest=None, token=("worker",))
 
 
 def _worker_run(job: ExecutorJob) -> RunResult:
     """Run one job in a worker.  Anything but a result leaves as a
     :class:`BatchExecutionError` naming the job, so the coordinator's
-    handle re-raises it typed, original traceback text included."""
+    handle re-raises it typed, original traceback text included (the
+    worker's failed restore, if that is why it has no template)."""
+    if "boot_error" in _WORKER_STATE:
+        raise BatchExecutionError(job.name, job.user,
+                                  _WORKER_STATE["boot_error"])
     try:
         return run_job(_WORKER_STATE["template"], job)
     except BatchExecutionError:

@@ -57,7 +57,7 @@ FIXTURE_CHOICES = ("none", "jpeg", "grading", "usr-src", "web", "emacs", "vcs")
 #: is LRU-bounded: each entry retains a whole template kernel, and a
 #: process sweeping many distinct configurations must not accumulate
 #: them forever (an evicted configuration just rebuilds on next boot).
-_BOOT_CACHE: BoundedCache = BoundedCache(64, lru=True)
+_BOOT_CACHE: BoundedCache = BoundedCache(64)
 
 
 def clear_boot_cache() -> None:

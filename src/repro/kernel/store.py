@@ -57,14 +57,6 @@ DEFAULT_MAX_BLOBS = 64
 _BLOB_SUFFIX = ".snap"
 _LINK_SUFFIX = ".link"
 
-#: Self-describing framing for blobs that leave the store — over the
-#: agent wire protocol or as files copied between hosts.  The digest
-#: rides with the bytes so the importer can verify integrity before the
-#: payload is trusted: magic, then the 64 hex chars of the SHA-256, then
-#: the snapshot bytes themselves.
-BLOB_EXPORT_MAGIC = b"SHBLOB1\n"
-_DIGEST_HEX_LEN = 64
-
 
 def default_store_root() -> Path:
     """Where stores live when the caller names none: ``$REPRO_STORE`` if
@@ -147,7 +139,7 @@ class SnapshotStore:
 
     def load(self, digest: str) -> bytes:
         """Like :meth:`get` but a miss is an error — for callers that
-        were promised the blob exists (worker boot)."""
+        were promised the blob exists (worker boot, answering a NEED)."""
         payload = self.get(digest)
         if payload is None:
             raise SnapshotError(
@@ -162,42 +154,6 @@ class SnapshotStore:
         from repro.kernel.serialize import restore_kernel
 
         return restore_kernel(self.load(digest))
-
-    # -- wire transfer -----------------------------------------------------
-
-    def export_blob(self, digest: str) -> bytes:
-        """The stored snapshot as a self-describing transfer frame.
-
-        This is what crosses the agent wire protocol (and what a
-        ``scp``'d blob file should look like): the digest travels with
-        the bytes, so :meth:`import_blob` on the far side can verify the
-        payload before anything trusts it.  A missing blob is an error,
-        exactly like :meth:`load` — exporters are callers who were
-        promised the blob exists.
-        """
-        return BLOB_EXPORT_MAGIC + digest.encode("ascii") + self.load(digest)
-
-    def import_blob(self, frame: bytes) -> str:
-        """Verify and store an :meth:`export_blob` frame; returns the
-        digest the blob now lives under.
-
-        Integrity is checked twice over: the frame must carry the magic
-        and a well-formed digest, and the payload must actually hash to
-        that digest — a truncated or tampered transfer is a
-        :class:`~repro.kernel.serialize.SnapshotError`, never a silently
-        poisoned cache entry.
-        """
-        head_len = len(BLOB_EXPORT_MAGIC) + _DIGEST_HEX_LEN
-        if not frame.startswith(BLOB_EXPORT_MAGIC) or len(frame) <= head_len:
-            raise SnapshotError("not a blob export frame (bad magic or truncated)")
-        claimed = frame[len(BLOB_EXPORT_MAGIC):head_len].decode("ascii")
-        payload = frame[head_len:]
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != claimed:
-            raise SnapshotError(
-                f"blob transfer corrupt: frame claims {claimed[:12]}…, "
-                f"payload hashes to {actual[:12]}…")
-        return self.put(payload)
 
     # -- the world index ---------------------------------------------------
 

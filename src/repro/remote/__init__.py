@@ -11,8 +11,9 @@ length-prefixed wire protocol (:mod:`repro.remote.wire`).
 Four modules:
 
 * :mod:`repro.remote.wire` — the frame codec and message vocabulary
-  (HELLO / PREPARE / NEED / BLOB / READY / SUBMIT / RESULT / GOODBYE);
-  snapshot blobs travel by digest and are only shipped on a miss;
+  (HELLO / PREPARE / NEED / READY / SUBMIT / RESULT / GOODBYE), one
+  request and one reply per exchange; snapshots travel by digest, and
+  their bytes ride a second PREPARE only after a NEED;
 * :mod:`repro.remote.server` — the serving half of the protocol, one
   threaded server that agents and the :mod:`repro.serve` gateway both
   run;

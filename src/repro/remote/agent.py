@@ -11,15 +11,17 @@ itself.
 Per PREPARE, the agent obtains the named snapshot the cheapest way it
 can — an already-restored in-memory template, its own store (the warm
 path the benchmarks op-gate: **zero** world-build kernel ops, no bytes
-over the wire), or a one-time BLOB transfer from the coordinator on a
-miss — and per SUBMIT it forks that template and runs the job through
+over the wire), or, on a miss, a NEED that the coordinator answers once
+by sending the PREPARE again with the snapshot bytes — and per SUBMIT
+it forks that template and runs the job through
 :func:`repro.api.executors.base.run_job`, the *same* single execution
 path every local executor uses.  That sharing is the whole determinism
 argument: an agent cannot diverge from ``SequentialExecutor`` without
 ``run_job`` itself diverging.  A job is the script in the SUBMIT
 header: an agent unpickles nothing a peer sends in SUBMIT or PREPARE.
-The only peer bytes it reads are snapshot blobs, which arrive through
-the digest check of :meth:`~repro.remote.server.WireServer._pull`.
+The only peer bytes it reads are snapshot bytes, which a PREPARE
+carries through the digest check of
+:meth:`~repro.remote.server.WireServer._pull`.
 
 On startup the agent prints one machine-readable line::
 
@@ -118,8 +120,9 @@ class AgentServer(WireServer):
     # -- PREPARE -----------------------------------------------------------
 
     def _handle_prepare(self, conn: Connection, msg: Message) -> None:
-        """Materialise the named template; replies READY (or NEED → BLOB
-        → READY when the snapshot must cross the wire)."""
+        """Materialise the named template and reply READY, or NEED when
+        the snapshot must cross the wire (the PREPARE then comes again,
+        carrying it)."""
         from repro.api.executors.base import JobTemplate
         from repro.kernel.kernel import KernelStats
 
@@ -132,7 +135,9 @@ class AgentServer(WireServer):
             conn.send("READY", msg.echo({"source": "memory", "build_ops": {}}))
             return
 
-        source = "wire" if self._pull(conn, msg) else "store"
+        source = self._pull(conn, msg)
+        if source is None:
+            return
         with self._state_lock:
             kernel = self._kernels.get(snapshot)
             if kernel is None:

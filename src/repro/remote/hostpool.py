@@ -81,8 +81,8 @@ class HostSpec:
 @dataclass(frozen=True)
 class WireTemplate:
     """What a host needs to run jobs against one template: the wire
-    ``key`` SUBMITs name, the PREPARE ``fields``, and the ``store`` that
-    answers the host's NEEDs.
+    ``key`` SUBMITs name, the PREPARE ``fields``, and the ``store`` whose
+    snapshot bytes answer the host's NEEDs.
     """
 
     key: str
@@ -152,22 +152,20 @@ class HostPool:
     """The registry + scheduling policy over a set of agent hosts.
 
     ``policy`` is a :class:`~repro.api.scheduling.SchedulingPolicy`
-    object (default :class:`~repro.api.scheduling.RoundRobin`).
-    ``allow_empty`` lets a pool start with zero hosts — the gateway's
-    mode, where agents announce themselves in later.  ``concurrency``
-    caps the jobs :meth:`dispatch` keeps in flight on any one host.
+    object (default :class:`~repro.api.scheduling.RoundRobin`).  A pool
+    may start with zero hosts: a gateway's agents announce themselves
+    in later.  ``concurrency`` caps the jobs :meth:`dispatch` keeps in
+    flight on any one host.
     """
 
     def __init__(self, hosts: "Iterable[HostSpec | str | tuple[str, int]]" = (),
                  policy: "SchedulingPolicy | None" = None,
-                 allow_empty: bool = False, concurrency: int = 1) -> None:
+                 concurrency: int = 1) -> None:
         from repro.api.scheduling import resolve_policy
         self.policy = resolve_policy(policy)
         self.concurrency = max(1, int(concurrency))
         self._hosts = [HostState(HostSpec.parse(spec), self.concurrency)
                        for spec in hosts]
-        if not self._hosts and not allow_empty:
-            raise ValueError("a host pool needs at least one host")
         seen: set[str] = set()
         for host in self._hosts:
             if str(host.spec) in seen:
@@ -332,21 +330,19 @@ class HostPool:
                  log: "Callable[..., None]", on_ready: "Callable[..., None]",
                  ) -> None:
         """PREPARE ``host`` for ``template`` once: ship the snapshot
-        digest, and the blob's bytes if the host's store misses it (one
-        NEED/BLOB round).  ``host.lock`` serialises concurrent
-        preparers; the link's ``converse`` keeps the exchange exclusive
-        against concurrent SUBMIT sends."""
+        digest, and when the host's store misses it (a NEED reply), the
+        same PREPARE again with the snapshot bytes.  ``host.lock``
+        serialises concurrent preparers."""
         if template.key in host.prepared:
             return
         with host.lock:
             if template.key in host.prepared:
                 return
-            with link.converse() as conv:
-                reply = conv.request("PREPARE", template.fields)
-                while reply.type == "NEED":
-                    needed = reply.fields["snapshot"]
-                    reply = conv.request("BLOB", {"snapshot": needed},
-                                         template.store.export_blob(needed))
+            reply = link.request("PREPARE", template.fields)
+            if reply.type == "NEED":
+                reply = link.request(
+                    "PREPARE", template.fields,
+                    template.store.load(template.fields["snapshot"]))
             reply.expect("READY")
             host.prepared.add(template.key)
             log("prepared", host=str(host.spec), key=template.key[:16],

@@ -2,9 +2,10 @@
 
 :class:`WireServer` is what every end that *answers* the protocol
 (:mod:`repro.remote.wire`) does, whatever it serves: one listener, one
-reader thread per connection, HELLO version negotiation, PREPARE run
-inline on the reader with its NEED/BLOB pull, SUBMITs on job threads
-with an in-flight count, and a drain-then-GOODBYE :meth:`~WireServer.retire`.
+reader thread per connection, the HELLO version check, PREPARE run
+inline on the reader with its NEED reply and snapshot check, SUBMITs on
+job threads with an in-flight count, and a drain-then-GOODBYE
+:meth:`~WireServer.retire`.
 Its two subclasses supply only what differs:
 
 * :class:`repro.remote.agent.AgentServer` restores each PREPAREd
@@ -20,6 +21,7 @@ One concurrency model serves both: blocking sockets and threads.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import socket
@@ -31,12 +33,13 @@ from typing import Callable
 
 from repro.kernel.store import SnapshotStore
 from repro.remote.wire import (
+    WIRE_VERSION,
     Connection,
     Message,
     WireClosed,
     WireError,
     WireVersionError,
-    negotiate_version,
+    check_version,
 )
 
 
@@ -144,21 +147,19 @@ class WireServer:
                 return
             hello = first.expect("HELLO")
             try:
-                effective = negotiate_version(hello.fields.get("version"),
-                                              hello.fields.get("min_version"))
+                check_version(hello.fields.get("version"))
             except WireVersionError as err:
                 conn.send("ERROR", {"error": str(err)})
                 return
-            conn.send("HELLO", {"version": effective, "pid": os.getpid(),
+            conn.send("HELLO", {"version": WIRE_VERSION, "pid": os.getpid(),
                                 "store": str(self.store.root)})
             while True:
                 msg = conn.recv()
                 if msg.type == "GOODBYE":
                     return
                 if msg.type == "PREPARE":
-                    # Inline in the reader: the peer holds its send gate
-                    # for the whole NEED/BLOB exchange, so the next
-                    # frames on the socket are the exchange's own.
+                    # Inline in the reader: a SUBMIT read after it on
+                    # this connection finds its template in place.
                     self._enter()
                     try:
                         self._handle_prepare(conn, msg)
@@ -188,8 +189,8 @@ class WireServer:
         raise WireError("unexpected 'ANNOUNCE': this end keeps no fleet")
 
     def _handle_prepare(self, conn: Connection, msg: Message) -> None:
-        """Materialise the template one PREPARE names and reply READY
-        (:meth:`_pull` first when the snapshot may cross the wire)."""
+        """Materialise the template one PREPARE names and reply READY,
+        or NEED when :meth:`_pull` finds no snapshot to build it from."""
         raise NotImplementedError
 
     def _handle_submit(self, conn: Connection, msg: Message) -> None:
@@ -199,27 +200,27 @@ class WireServer:
 
     # -- helpers for subclasses --------------------------------------------
 
-    def _pull(self, conn: Connection, msg: Message) -> bool:
-        """PREPARE's NEED/BLOB exchange: when the store misses the
-        snapshot ``msg`` names, NEED it and store the BLOB that answers,
-        which must carry exactly that digest.  A snapshot is one
-        self-contained blob, so this is at most one NEED round.  True
-        when the blob crossed the wire."""
+    def _pull(self, conn: Connection, msg: Message) -> "str | None":
+        """Where a PREPARE's snapshot comes from: ``"wire"`` when its
+        bytes rode this PREPARE, stored only if they hash to the digest
+        it names; ``"store"`` when the store already holds it; ``None``
+        after answering NEED, for the caller to send the PREPARE again
+        with the bytes."""
         snapshot = msg.fields["snapshot"]
+        if msg.blob:
+            carried = hashlib.sha256(msg.blob).hexdigest()
+            if carried != snapshot:
+                raise WireError(f"snapshot bytes hash to {carried[:12]}…, "
+                                f"the PREPARE names {snapshot[:12]}…")
+            with self._import_lock:
+                self.store.put(msg.blob)
+            return "wire"
         # A get, not a has: a store hit refreshes the blob's LRU
         # position and counts in the store's stats.
         if self.store.get(snapshot) is not None:
-            return False
+            return "store"
         conn.send("NEED", msg.echo({"snapshot": snapshot}))
-        blob = conn.recv().expect("BLOB").blob
-        # The export frame's digest is verified before the bytes are
-        # trusted; it must also be the blob the NEED named.
-        with self._import_lock:
-            imported = self.store.import_blob(blob)
-        if imported != snapshot:
-            raise WireError(f"BLOB carried {imported[:12]}…, "
-                            f"NEED named {snapshot[:12]}…")
-        return True
+        return None
 
     def _start_job(self, work: "Callable[[Connection, Message], None]",
                    conn: Connection, msg: Message) -> None:

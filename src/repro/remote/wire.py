@@ -4,32 +4,34 @@ One **frame** is::
 
     !II          header length, blob length (big-endian, 4 bytes each)
     header       UTF-8 JSON object; ``"type"`` names the message
-    blob         raw bytes (snapshot blobs, pickled results)
+    blob         raw bytes (snapshot bytes, pickled results)
 
 Everything structural (message type, job metadata and script source,
 digests, op counts) rides in the JSON header, so a frame is inspectable
 with nothing but a socket dump; everything *opaque* (snapshot bytes,
 pickled ``RunResult``\\ s) rides in the blob, so JSON never sees bytes
-it cannot represent.  Only BLOB (snapshot bytes, digest-checked by the
-receiving store) and RESULT carry a blob; SUBMIT and PREPARE are
-header-only.  Frames are capped at
+it cannot represent.  Only RESULT and a PREPARE sent again after NEED
+(its snapshot bytes, checked against the digest it names) carry a
+blob; SUBMIT is header-only.  Frames are capped at
 :data:`MAX_FRAME_BYTES` — a corrupt length prefix must fail fast, not
 allocate gigabytes.  :class:`Connection` is the one codec: every end,
 serving or calling, frames through it.
 
-Every request carries a **channel id** (``"channel": N``) and the peer
-echoes it on every frame of the reply, so N jobs can be in flight on
-one connection at once and replies may arrive in any order::
+Every exchange is one request and one reply.  Every request carries a
+**channel id** (``"channel": N``) and the peer echoes it on the reply,
+so N jobs can be in flight on one connection at once and replies may
+arrive in any order::
 
     coordinator                               agent
     -----------                               -----
-    HELLO {version, min_version}        ->
+    HELLO {version}                     ->
                                         <-    HELLO {version, pid, store}
     PREPARE {snapshot, scripts, ch}     ->
                                         <-    READY {source, build_ops, ch}
                                               … or NEED {snapshot, ch}, then:
-    BLOB {snapshot, ch} + blob bytes    ->
-                                        <-    READY {source: "wire", ch}
+    PREPARE {snapshot, scripts, ch'}    ->
+      + snapshot bytes
+                                        <-    READY {source: "wire", ch'}
     SUBMIT {index, name, source, ch}    ->    (N of these may interleave)
     SUBMIT {index, name, source, ch'}   ->
                                         <-    RESULT {status, ch'} + blob
@@ -37,24 +39,20 @@ one connection at once and replies may arrive in any order::
     GOODBYE                             ->    (agent closes)
     (agent may also send GOODBYE first: a clean, drained shutdown)
 
-Version negotiation happens once, in HELLO: the client sends the
-highest version it speaks (:data:`WIRE_VERSION`) and the lowest it will
-accept (:data:`MIN_WIRE_VERSION`); the server replies with the
-*effective* version — ``min(yours, theirs)`` — and both sides speak
-that.  A peer that answers with a version above ours, or that cannot
-meet either side's floor, raises :class:`WireVersionError` (the agent
-also refuses with an ERROR frame so mismatched coordinators get a
-readable diagnostic instead of a codec explosion).
+The version is checked once, in HELLO: both ends speak exactly
+:data:`WIRE_VERSION`, and a peer that advertises or answers any other
+version raises :class:`WireVersionError` (the agent also refuses with
+an ERROR frame so mismatched coordinators get a readable diagnostic
+instead of a codec explosion).
 
-A PREPARE's NEED/BLOB exchange ships the snapshot blob if the peer's
-store misses it, in at most one NEED round; the serving half of the
-protocol, that exchange included, is :mod:`repro.remote.server`, which
-agents and the gateway both run.  On the client side,
-:class:`ChannelMux` wraps a handshaken connection: a background reader
-routes each reply to the waiter that owns its channel, so any number of
-threads can :meth:`~ChannelMux.request` concurrently; multi-frame
-conversations (:meth:`~ChannelMux.converse`) briefly gate new sends
-while in-flight replies continue to drain.
+A PREPARE whose snapshot the peer's store misses is answered NEED, and
+the caller sends the same PREPARE again with the snapshot bytes; the
+serving half of the protocol, that check included, is
+:mod:`repro.remote.server`, which agents and the gateway both run.  On
+the client side, :class:`ChannelMux` wraps a handshaken connection: a
+background reader routes each reply to the waiter that owns its
+channel, so any number of threads can :meth:`~ChannelMux.request`
+concurrently.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ import queue
 import socket
 import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -77,18 +74,12 @@ from repro.errors import ReproError
 #: (concurrent jobs on one connection); version 3 made a job one SHILL
 #: script — no pickled callable in SUBMIT, no fixtures blob in PREPARE,
 #: and a template key over three ingredients instead of four; version 4
-#: ships blobs in snapshot format v3 (one frame kind).  Both ends
-#: negotiate down to the highest version both speak, and refuse to talk
-#: below :data:`MIN_WIRE_VERSION`.
-WIRE_VERSION = 4
-
-#: The oldest version this end still speaks.  Every peer lives in this
-#: tree, so the floor is the current version: an older peer ships
-#: snapshot frames this end's codec refuses, which would surface as a
-#: failed restore on a healthy host (a v2 peer also names templates by
-#: another key), so it is refused at HELLO with a readable
+#: ships blobs in snapshot format v3 (one frame kind); version 5 sends
+#: the snapshot bytes on a second PREPARE instead of a BLOB frame.
+#: Every peer lives in this tree, so both ends speak exactly this
+#: version and refuse any other at HELLO with a readable
 #: :class:`WireVersionError`.
-MIN_WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: Hard cap on one frame (header + blob).  Snapshot blobs are hundreds
 #: of KiB; 256 MiB is comfortably above any real machine image while
@@ -260,41 +251,20 @@ class Connection:
         return b"".join(chunks)
 
 
-def negotiate_version(peer_version: Any, peer_min: Any = None) -> int:
-    """The server side of version negotiation: the effective version for
-    a peer advertising ``peer_version`` (and optionally the floor it
-    will accept).  Raises :class:`WireVersionError` when no version
-    satisfies both ends — a peer that advertises no floor requires
-    exactly its own version or below."""
-    try:
-        advertised = int(peer_version)
-    except (TypeError, ValueError):
-        raise WireVersionError(f"peer advertised no usable wire version "
-                               f"({peer_version!r})") from None
-    floor = advertised if peer_min is None else int(peer_min)
-    effective = min(WIRE_VERSION, advertised)
-    if effective < max(MIN_WIRE_VERSION, floor):
+def check_version(peer_version: Any) -> None:
+    """Refuse a peer that does not speak exactly :data:`WIRE_VERSION`
+    (both ends of HELLO call this on what the other side sent)."""
+    if peer_version != WIRE_VERSION:
         raise WireVersionError(
-            f"no common wire version: peer speaks {advertised} "
-            f"(floor {floor}), we speak {WIRE_VERSION} "
-            f"(floor {MIN_WIRE_VERSION}); restart the older side")
-    return effective
+            f"no common wire version: peer speaks wire version "
+            f"{peer_version!r}, we speak {WIRE_VERSION}; restart the older side")
 
 
 def client_handshake(conn: Connection) -> Message:
-    """The coordinator side of HELLO: advertise the version range we
-    speak; the peer replies with the effective (negotiated) version.
-
-    A peer replying outside our range — a v1 peer echoing ``1``, or one
-    *above* our version that ignored negotiation — is refused.
-    """
-    reply = conn.request("HELLO", {"version": WIRE_VERSION,
-                                   "min_version": MIN_WIRE_VERSION}).expect("HELLO")
-    peer = reply.fields.get("version")
-    if not isinstance(peer, int) or peer > WIRE_VERSION or peer < MIN_WIRE_VERSION:
-        raise WireVersionError(
-            f"agent speaks wire version {peer}, we speak "
-            f"{MIN_WIRE_VERSION}..{WIRE_VERSION} (restart the older side)")
+    """The coordinator side of HELLO: advertise our version; a peer
+    replying with any other is refused."""
+    reply = conn.request("HELLO", {"version": WIRE_VERSION}).expect("HELLO")
+    check_version(reply.fields.get("version"))
     return reply
 
 
@@ -322,33 +292,12 @@ def connect(host: str, port: int, timeout: "float | None" = 10.0,
 # the client side: channels multiplexed on one connection
 # ---------------------------------------------------------------------------
 
-class _Conversation:
-    """One multi-frame exchange (PREPARE … NEED/BLOB … READY) on one
-    channel; the owning :class:`ChannelMux` holds its send gate for the
-    conversation's duration."""
-
-    def __init__(self, mux: "ChannelMux", channel: int,
-                 waiter: "queue.SimpleQueue") -> None:
-        self._mux = mux
-        self._channel = channel
-        self._waiter = waiter
-
-    def request(self, type_: str, fields: "dict[str, Any] | None" = None,
-                blob: bytes = b"") -> Message:
-        self._mux._send_on(self._channel, type_, fields, blob)
-        return self._mux._take(self._waiter)
-
-
 class ChannelMux:
     """Concurrent exchanges multiplexed on one connection.
 
     A background reader routes every incoming frame to the waiter that
     owns its ``channel``; any number of threads may :meth:`request`
-    concurrently.  :meth:`converse` runs a multi-frame exchange
-    (PREPARE's NEED/BLOB loop): it holds the *send* gate — no new
-    requests start while a conversation is mid-flight, so the peer can
-    service the exchange inline — but replies to already-sent requests
-    keep draining through the reader throughout.
+    concurrently.
 
     An unsolicited, channel-less GOODBYE from the peer is a **clean
     retirement** (a drained SIGTERM shutdown): ``on_goodbye`` fires once
@@ -361,7 +310,6 @@ class ChannelMux:
         self._on_goodbye = on_goodbye
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._send_gate = threading.RLock()
         self._waiters: "dict[int, queue.SimpleQueue]" = {}
         self._dead: "WireError | None" = None
         self.retired = False
@@ -374,64 +322,34 @@ class ChannelMux:
     def request(self, type_: str, fields: "dict[str, Any] | None" = None,
                 blob: bytes = b"") -> Message:
         """One channel-tagged round trip, safe to call from any thread."""
-        channel, waiter = self._open_channel()
-        try:
-            with self._send_gate:
-                self._send_on(channel, type_, fields, blob)
-            return self._take(waiter)
-        finally:
-            self._close_channel(channel)
-
-    @contextmanager
-    def converse(self):
-        """A multi-frame exchange on one channel, exclusive on the send
-        side for its duration (in-flight replies still drain)."""
-        channel, waiter = self._open_channel()
-        try:
-            with self._send_gate:
-                yield _Conversation(self, channel, waiter)
-        finally:
-            self._close_channel(channel)
-
-    def goodbye(self) -> None:
-        """Tell the peer we are leaving cleanly (no reply expected)."""
-        with self._send_gate:
-            self._conn.send("GOODBYE")
-
-    def close(self) -> None:
-        self._conn.close()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _open_channel(self) -> "tuple[int, queue.SimpleQueue]":
         channel = next(self._ids)
         waiter: queue.SimpleQueue = queue.SimpleQueue()
         with self._lock:
             if self._dead is not None:
                 raise self._dead
             self._waiters[channel] = waiter
-        return channel, waiter
-
-    def _close_channel(self, channel: int) -> None:
-        with self._lock:
-            self._waiters.pop(channel, None)
-
-    def _send_on(self, channel: int, type_: str,
-                 fields: "dict[str, Any] | None", blob: bytes) -> None:
-        tagged = dict(fields or {})
-        tagged["channel"] = channel
         try:
-            self._conn.send(type_, tagged, blob)
+            self._conn.send(type_, dict(fields or {}, channel=channel), blob)
+            got = waiter.get()
         except WireError as err:
             if self.retired:
                 raise WireClosed("peer retired (clean GOODBYE)") from err
             raise
-
-    def _take(self, waiter: "queue.SimpleQueue") -> Message:
-        got = waiter.get()
+        finally:
+            with self._lock:
+                self._waiters.pop(channel, None)
         if isinstance(got, BaseException):
             raise got
         return got
+
+    def goodbye(self) -> None:
+        """Tell the peer we are leaving cleanly (no reply expected)."""
+        self._conn.send("GOODBYE")
+
+    def close(self) -> None:
+        self._conn.close()
+
+    # -- plumbing ----------------------------------------------------------
 
     def _read_loop(self) -> None:
         failure: WireError

@@ -13,8 +13,8 @@ protocol (:mod:`repro.remote.wire`) on both faces, on the same threaded
   and PREPAREs each from the gateway's snapshot store; each admitted
   SUBMIT is relayed on a job thread of its own;
 * **northbound**, it *is* an agent, as far as any client can tell: it
-  answers HELLO with version negotiation, services PREPARE (pulling a
-  missed blob into its own store exactly like an agent would), and
+  answers HELLO, services PREPARE (a missed snapshot is NEEDed and lands
+  in its own store exactly like an agent's would), and
   replies RESULT frames channel-tagged, so
   :class:`~repro.api.executors.serve.ServeExecutor` is just a
   :class:`~repro.api.executors.remote.RemoteExecutor` pointed at one
@@ -103,8 +103,7 @@ class Gateway(WireServer):
         from repro.serve.admission import AdmissionController
 
         super().__init__(store, host, port)
-        self.pool = HostPool(hosts, policy=policy, allow_empty=True,
-                             concurrency=concurrency)
+        self.pool = HostPool(hosts, policy=policy, concurrency=concurrency)
         self.admission = AdmissionController(rate=rate, burst=burst,
                                              max_pending=max_pending)
         #: wire template key -> the PREPARE fields exactly as a client
@@ -115,7 +114,7 @@ class Gateway(WireServer):
         # -> the RESULT frame verbatim.  Jobs on one template are
         # deterministic, so a repeat SUBMIT answers from here without
         # admission control, dispatch, or a single agent kernel op.
-        self._result_cache = (BoundedCache(result_cache, lru=True)
+        self._result_cache = (BoundedCache(result_cache)
                               if result_cache > 0 else None)
         self._log_path = Path(request_log) if request_log else None
         self._log_lock = threading.Lock()
@@ -151,13 +150,16 @@ class Gateway(WireServer):
     # -- PREPARE -----------------------------------------------------------
 
     def _handle_prepare(self, conn: Connection, msg: Message) -> None:
-        """Take custody of one template: pull its blob if our store
+        """Take custody of one template: NEED its snapshot if our store
         misses it (exactly like an agent), keep the PREPARE ingredients
         for relaying, reply READY."""
         fields = msg.fields
         wire_key = template_key(fields)
-        known = wire_key in self._templates
-        source = "wire" if self._pull(conn, msg) else "memory" if known else "store"
+        source = self._pull(conn, msg)
+        if source is None:
+            return
+        if source == "store" and wire_key in self._templates:
+            source = "memory"
         relay = {k: v for k, v in fields.items() if k != "channel"}
         self._templates[wire_key] = WireTemplate(wire_key, relay, self.store)
         self._log("template", key=wire_key[:16], snapshot=fields["snapshot"][:16],

@@ -453,6 +453,23 @@ class TestStoreExecutor:
                 assert result.stdout == "hello\n"
         assert len(store) == 1
 
+    def test_a_worker_that_cannot_restore_names_the_cause(self, tmp_path):
+        """A blob removed between scheduling and worker boot fails the
+        job with the restore's own error, not a broken pool that leaves
+        the cause in a log line."""
+        store = SnapshotStore(tmp_path / "store")
+        template = JobTemplate.for_world(_jpeg_world().boot())
+        with StoreExecutor(store=store, workers=1) as executor:
+            executor.bind(template)
+            executor._ensure_pool(template)
+            for blob in (tmp_path / "store" / "blobs").iterdir():
+                blob.unlink()
+            handle = executor.submit(ExecutorJob(index=0, name="j0",
+                                                 source=WALK_AMBIENT))
+            with pytest.raises(BatchExecutionError) as err:
+                handle.result(timeout=60)
+        assert "not in the store" in err.value.traceback_text
+
     def test_adopt_template_requires_digest_and_unbooted(self, tmp_path):
         from repro.kernel.kernel import Kernel
 

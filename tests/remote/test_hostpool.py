@@ -74,13 +74,17 @@ class TestPolicies:
             _pool(policy=policy)
 
     def test_empty_and_duplicate_pools_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            HostPool([])
+        """A pool may start empty (a gateway's agents announce later),
+        so an executor with no hosts is refused by the executor."""
+        from repro.api import RemoteExecutor
+
+        with pytest.raises(ValueError, match="at least one host"):
+            RemoteExecutor([])
         with pytest.raises(ValueError, match="duplicate"):
             HostPool(["h:1", "h:1"])
 
     def test_allow_empty_pools_admit_hosts_later(self):
-        pool = HostPool([], allow_empty=True)
+        pool = HostPool([])
         with pytest.raises(LookupError):
             pool.pick()
         pool.add_host("127.0.0.1:7009")

@@ -145,20 +145,32 @@ class TestEndToEnd:
 
     def test_agents_unpickle_nothing_a_peer_sends(self, agent_factory,
                                                   tmp_path, monkeypatch):
-        """A job is the script in the SUBMIT header.  A PREPARE blob and
-        a SUBMIT blob flagged ``has_fn`` (where wire v2 carried pickled
-        fixtures and callables) are ignored, so a peer cannot run its
-        own Python on an agent, outside every contract and MAC check."""
+        """A job is the script in the SUBMIT header: a SUBMIT blob
+        flagged ``has_fn`` (where wire v2 carried pickled callables) is
+        ignored.  The bytes a PREPARE carries must hash to the snapshot
+        it names, so a pickle sent as a snapshot is refused with an
+        ERROR before anything stores or restores it.  Either way a peer
+        cannot run its own Python on an agent, outside every contract
+        and MAC check."""
         from repro.remote import wire
 
         planted = {"PREPARE": tmp_path / "ran-prepare-blob",
                    "SUBMIT": tmp_path / "ran-submit-blob"}
+        _proc, addr = agent_factory("a0")
+        host, port = addr.rsplit(":", 1)
+        conn, _hello = wire.connect(host, int(port))
+        reply = conn.request("PREPARE", {"snapshot": "0" * 64, "scripts": [],
+                                         "default_user": "alice"},
+                             pickle.dumps(_Makedirs(str(planted["PREPARE"]))))
+        conn.close()
+        assert reply.type == "ERROR" and "the PREPARE names" in reply.fields["error"]
+
         encode_frame = wire.encode_frame
         encode = RemoteExecutor._encode
 
         def with_blob(type_, fields=None, blob=b""):
-            if type_ in planted:
-                blob = pickle.dumps(_Makedirs(str(planted[type_])))
+            if type_ == "SUBMIT":
+                blob = pickle.dumps(_Makedirs(str(planted["SUBMIT"])))
             return encode_frame(type_, fields, blob)
 
         def with_fn_flag(job, wire_key):
@@ -166,7 +178,6 @@ class TestEndToEnd:
 
         monkeypatch.setattr(wire, "encode_frame", with_blob)
         monkeypatch.setattr(RemoteExecutor, "_encode", staticmethod(with_fn_flag))
-        _proc, addr = agent_factory("a0")
         with RemoteExecutor([addr], store=tmp_path / "coord") as executor:
             [result] = Batch(_jpeg_world(), cache=False).add(WALK_AMBIENT) \
                                                         .run(executor=executor)

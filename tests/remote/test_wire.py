@@ -1,4 +1,4 @@
-"""The wire codec: frames, handshakes, and blob export/import framing."""
+"""The wire codec: frames, handshakes, and the snapshot a PREPARE carries."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import threading
 
 import pytest
 
-from repro.kernel.serialize import SnapshotError
-from repro.kernel.store import BLOB_EXPORT_MAGIC, SnapshotStore
+from repro.kernel.store import SnapshotStore
 from repro.remote.wire import (
     WIRE_VERSION,
     Connection,
@@ -78,7 +77,7 @@ class TestFrames:
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
         left, right = _pipe()
         with pytest.raises(WireError, match="too large"):
-            left.send("BLOB", blob=b"x" * 100)
+            left.send("RESULT", blob=b"x" * 100)
         left.send("GOODBYE")  # the next frame is the first on the wire
         assert right.recv().type == "GOODBYE"
 
@@ -132,15 +131,15 @@ def _snapshot_frame(body: bytes) -> bytes:
 
 
 class TestBlobPull:
-    """PREPARE's NEED/BLOB exchange, driven against a real server's
-    reader loop over a socketpair (the gateway's PREPARE restores
-    nothing, so any bytes do for a snapshot)."""
+    """PREPARE's NEED round, driven against a real server's reader loop
+    over a socketpair (the gateway's PREPARE restores nothing, so any
+    bytes do for a snapshot)."""
 
     @staticmethod
     def _prepare(server, snapshot: str, answer) -> "tuple[Message, list]":
-        """One connection: HELLO, then PREPARE ``snapshot``, answering
-        each NEED with ``answer(digest)``; returns the final reply and
-        the digests NEEDed."""
+        """One connection: HELLO, then PREPARE ``snapshot``, answering a
+        NEED with the same PREPARE carrying ``answer(digest)``; returns
+        the final reply and the digests NEEDed."""
         a, b = socket.socketpair()
         thread = threading.Thread(target=server._serve_connection,
                                   args=(Connection(b),), daemon=True)
@@ -148,11 +147,11 @@ class TestBlobPull:
         client = Connection(a)
         client_handshake(client)
         needed = []
-        reply = client.request("PREPARE", {"snapshot": snapshot, "scripts": [],
-                                           "default_user": "alice", "channel": 1})
-        while reply.type == "NEED":
+        prepare = {"snapshot": snapshot, "scripts": [], "default_user": "alice"}
+        reply = client.request("PREPARE", dict(prepare, channel=1))
+        if reply.type == "NEED":
             needed.append(reply.fields["snapshot"])
-            reply = client.request("BLOB", {"snapshot": needed[-1], "channel": 1},
+            reply = client.request("PREPARE", dict(prepare, channel=2),
                                    answer(needed[-1]))
         client.close()
         thread.join(timeout=10)
@@ -170,20 +169,20 @@ class TestBlobPull:
     def test_needs_a_missing_blob_once(self, tmp_path, gateway):
         src = SnapshotStore(tmp_path / "src")
         snapshot = src.put(_snapshot_frame(b"machine"))
-        reply, needed = self._prepare(gateway, snapshot, src.export_blob)
+        reply, needed = self._prepare(gateway, snapshot, src.load)
         assert needed == [snapshot]
         assert reply.expect("READY").fields == {"source": "wire", "build_ops": {},
-                                                "channel": 1}
+                                                "channel": 2}
         assert gateway.store.get(snapshot) == src.get(snapshot)
         # The blob is local now: a second PREPARE NEEDs nothing.
-        again, needed = self._prepare(gateway, snapshot, src.export_blob)
+        again, needed = self._prepare(gateway, snapshot, src.load)
         assert needed == [] and again.expect("READY").fields["source"] == "memory"
 
     def test_concurrent_pulls_of_one_blob_all_succeed(self, tmp_path, gateway):
         """Two clients PREPARE one missing snapshot at once, so both are
-        NEEDed and both BLOBs land together: both get READY.  Two
-        threads writing one blob race on the store's temp file, so the
-        server imports one blob at a time."""
+        NEEDed and both resent PREPAREs land together with the bytes:
+        both get READY.  Two threads writing one blob race on the
+        store's temp file, so the server imports one blob at a time."""
         src = SnapshotStore(tmp_path / "src")
         for _ in range(30):
             snapshot = src.put(_snapshot_frame(os.urandom(256 * 1024)))
@@ -191,7 +190,7 @@ class TestBlobPull:
 
             def answer(digest):
                 both_needed.wait(timeout=10)
-                return src.export_blob(digest)
+                return src.load(digest)
 
             replies: list = []
             clients = [threading.Thread(target=lambda: replies.append(
@@ -209,37 +208,9 @@ class TestBlobPull:
         wanted = src.put(_snapshot_frame(b"wanted"))
         other = src.put(_snapshot_frame(b"other"))
         reply, needed = self._prepare(gateway, wanted,
-                                      lambda _digest: src.export_blob(other))
+                                      lambda _digest: src.load(other))
         assert needed == [wanted]
-        with pytest.raises(WireError, match="NEED named"):
+        with pytest.raises(WireError, match="the PREPARE names"):
             reply.expect("READY")
         assert gateway.store.get(wanted) is None
 
-
-class TestBlobExport:
-    """The store's wire framing: digest travels with the bytes."""
-
-    def test_export_import_round_trip(self, tmp_path):
-        src = SnapshotStore(tmp_path / "src")
-        dst = SnapshotStore(tmp_path / "dst")
-        digest = src.put(b"machine image bytes")
-        frame = src.export_blob(digest)
-        assert frame.startswith(BLOB_EXPORT_MAGIC)
-        assert dst.import_blob(frame) == digest
-        assert dst.get(digest) == b"machine image bytes"
-
-    def test_import_rejects_tampered_payload(self, tmp_path):
-        src = SnapshotStore(tmp_path / "src")
-        digest = src.put(b"genuine")
-        frame = bytearray(src.export_blob(digest))
-        frame[-1] ^= 0xFF
-        with pytest.raises(SnapshotError, match="corrupt"):
-            SnapshotStore(tmp_path / "dst").import_blob(bytes(frame))
-
-    def test_import_rejects_garbage(self, tmp_path):
-        with pytest.raises(SnapshotError, match="magic"):
-            SnapshotStore(tmp_path / "dst").import_blob(b"not a frame")
-
-    def test_export_missing_blob_is_an_error(self, tmp_path):
-        with pytest.raises(SnapshotError, match="not in the store"):
-            SnapshotStore(tmp_path / "s").export_blob("0" * 64)

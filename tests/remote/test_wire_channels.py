@@ -1,10 +1,9 @@
-"""Wire v2 channels: multiplexed exchanges, negotiation, retirement.
+"""Wire channels: multiplexed exchanges, the version check, retirement.
 
 The mux contracts: N threads share one connection, replies route by
-channel id even arriving out of order; a conversation (PREPARE's
-NEED/BLOB loop) gates new sends without stalling in-flight replies; an
-older peer is refused, readably, in either direction; an unsolicited
-GOODBYE is a clean retirement, not a crash.
+channel id even arriving out of order; an older peer is refused,
+readably, in either direction; an unsolicited GOODBYE is a clean
+retirement, not a crash.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import threading
 import pytest
 
 from repro.remote.wire import (
-    MIN_WIRE_VERSION,
     WIRE_VERSION,
     ChannelMux,
     Connection,
@@ -93,29 +91,6 @@ class TestChannelMux:
         thread.join(timeout=5)
         assert len(set(seen)) == 3
 
-    def test_converse_multi_frame_exchange_stays_on_one_channel(self):
-        """A NEED/BLOB-shaped exchange: every frame of the conversation
-        carries the same channel, and the peer's multi-frame replies all
-        land on the conversation's waiter."""
-        mux, server = _mux_pair()
-
-        def peer():
-            prepare = server.recv()
-            ch = prepare.fields["channel"]
-            server.send("NEED", {"channel": ch, "snapshot": "abc"})
-            blob = server.recv()
-            assert blob.fields["channel"] == ch  # same exchange
-            server.send("READY", {"channel": ch, "source": "wire"})
-
-        thread = threading.Thread(target=peer)
-        thread.start()
-        with mux.converse() as conv:
-            reply = conv.request("PREPARE", {"snapshot": "abc"})
-            assert reply.type == "NEED"
-            reply = conv.request("BLOB", {"snapshot": "abc"}, b"bytes")
-        assert reply.type == "READY" and reply.fields["source"] == "wire"
-        thread.join(timeout=5)
-
     def test_unsolicited_goodbye_is_clean_retirement(self):
         retired = threading.Event()
         mux, server = _mux_pair(on_goodbye=retired.set)
@@ -171,20 +146,21 @@ class _MiniAgent:
 
 
 class TestNegotiation:
-    @pytest.mark.parametrize("old", [1, 2, 3])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_older_peers_are_refused(self, agent_factory, old):
-        """Every peer lives in this tree, so the wire speaks v4 only: an
+        """Every peer lives in this tree, so the wire speaks v5 only: an
         older agent is refused with a typed error, and an older client
-        gets the agent's readable ERROR frame.  A v3 peer ships snapshot
-        frames this codec refuses, so its PREPARE would fail restore on
-        a healthy agent; a v2 peer would also key templates on four
-        ingredients (PREPARE under one key, SUBMIT under another) and
-        could send callables."""
+        gets the agent's readable ERROR frame.  A v4 peer answers NEED
+        with a BLOB frame this end no longer reads; a v3 peer ships
+        snapshot frames this codec refuses, so its PREPARE would fail
+        restore on a healthy agent; a v2 peer would also key templates
+        on four ingredients (PREPARE under one key, SUBMIT under
+        another) and could send callables."""
         agent = _MiniAgent(version=old)
         with pytest.raises(WireVersionError, match=f"wire version {old}"):
             open_link("127.0.0.1", agent.port)
 
-        _proc, addr = agent_factory("v4-only")
+        _proc, addr = agent_factory("v5-only")
         host, port = addr.rsplit(":", 1)
         conn = Connection(socket.create_connection((host, int(port))))
         reply = conn.request("HELLO", {"version": old})
@@ -210,26 +186,6 @@ class TestNegotiation:
         agent = Overeager(version=WIRE_VERSION + 1)
         with pytest.raises(WireVersionError, match="wire version"):
             open_link("127.0.0.1", agent.port)
-
-    def test_version_floor_is_advertised(self):
-        """The HELLO carries both ends of our range, so a future v3
-        server can negotiate down to us instead of refusing."""
-        mux, server = _mux_pair()  # not used; direct connection check
-        client, peer = _pipe()
-        got = {}
-
-        def record():
-            got.update(peer.recv().fields)
-            peer.send("HELLO", {"version": WIRE_VERSION})
-
-        thread = threading.Thread(target=record)
-        thread.start()
-        from repro.remote.wire import client_handshake
-
-        client_handshake(client)
-        thread.join(timeout=5)
-        assert got["version"] == WIRE_VERSION
-        assert got["min_version"] == MIN_WIRE_VERSION
 
 
 class TestAgentRetirement:

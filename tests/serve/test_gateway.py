@@ -393,8 +393,8 @@ def _raw_client(gateway: str, store_root) -> "tuple[Connection, str]":
     prepare = {"snapshot": snapshot, "scripts": [], "default_user": "alice"}
     reply = conn.request("PREPARE", dict(prepare, channel=0))
     if reply.type == "NEED":
-        reply = conn.request("BLOB", {"snapshot": snapshot, "channel": 0},
-                             store.export_blob(snapshot))
+        reply = conn.request("PREPARE", dict(prepare, channel=0),
+                             store.load(snapshot))
     reply.expect("READY")
     return conn, template_key(prepare)
 
