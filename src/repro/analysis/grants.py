@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang import ast_ as A
-from repro.sandbox.privileges import ALL_PRIVS, PrivSet, priv_from_name
+from repro.lang.ctc_elab import privset_from_items
+from repro.sandbox.privileges import PrivSet
 
 #: Branch kinds that describe a filesystem capability with a privilege set.
 CAP_KINDS = ("dir", "file", "cap")
@@ -93,20 +94,6 @@ class Grant:
             if b.kind in CAP_KINDS and b.privs is not None:
                 out |= b.privs.privs()
         return frozenset(out)
-
-
-def privset_from_items(items: tuple[A.CtcPrivItem, ...]) -> PrivSet:
-    """Mirror of the runtime elaborator's privilege-set construction."""
-    mapping: dict = {}
-    for item in items:
-        priv = priv_from_name(item.priv)
-        if item.modifier_full:
-            mapping[priv] = frozenset(ALL_PRIVS)
-        elif item.modifier is not None:
-            mapping[priv] = frozenset(priv_from_name(m) for m in item.modifier)
-        else:
-            mapping[priv] = None
-    return PrivSet(mapping)
 
 
 def _bundle(name: str) -> tuple[GrantBranch, ...] | None:

@@ -59,7 +59,7 @@ from repro.remote.hostpool import (
     HostState,
     WireTemplate,
 )
-from repro.remote.wire import Message, template_key
+from repro.remote.wire import Message, PeerError, template_key
 
 
 class RemoteExecutor(StoreBootMixin, Executor):
@@ -161,7 +161,7 @@ class RemoteExecutor(StoreBootMixin, Executor):
             try:
                 reply = self.hosts.dispatch(wire, fields, job=job,
                                             on_ready=self._record_boot)
-            except HostsExhausted as err:
+            except (HostsExhausted, PeerError) as err:
                 raise BatchExecutionError(
                     job.name, job.user or template.default_user,
                     "".join(_traceback.format_stack(limit=8)),

@@ -9,162 +9,92 @@ Notable rules:
   therefore be written with a space (``a + b``), which matches the
   paper's style;
 * ``\/`` and ``/\`` are the contract disjunction/conjunction operators;
-* identifiers are ``[A-Za-z_][A-Za-z0-9_]*``.
+* an identifier starts with a letter (any character ``str.isalpha``
+  admits, so ``café`` is one) or ``_`` and continues with letters,
+  digits, numerics and ``_`` (``str.isalnum``); a number starts with a
+  digit (``str.isdigit``, so ``²`` is one) and continues with digits
+  and dots;
+* a punctuation token's type is the :class:`T` member whose value is
+  its text.
+
+One pattern with a named group per token class (the tokenizer recipe in
+the :mod:`re` docs) finds each token.  Where ``re`` and ``str`` disagree
+(``\d`` is ``str.isdecimal``; ``\w`` admits numerics such as ``½``),
+the loop decides with the ``str`` method.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import ShillSyntaxError
 from repro.lang.tokens import T, Token
 
-def _advance_pos(source: str, start: int, stop: int, line: int, col: int) -> tuple[int, int]:
-    """(line, col) after consuming ``source[start:stop]``.  String literals
-    may span lines, and a lexer that does not count their newlines reports
-    every later token one line short."""
-    chunk = source[start:stop]
-    newlines = chunk.count("\n")
-    if newlines:
-        return line + newlines, stop - (source.rfind("\n", start, stop) + 1) + 1
-    return line, col + (stop - start)
+#: Punctuation text -> token type; every non-word value of T.
+_PUNCT = {t.value: t for t in T if not t.value.isalpha()}
+
+_TOKEN = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<comment>#[^\n]*)",
+    r'(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")',
+    r"(?P<raw>''.*?'')",  # '' ... '' as in the paper's listings
+    r"(?P<number>\d[\d.]*)",
+    r"(?P<word>\w+)",
+    r"(?P<priv>\+[^\W\d_][\w-]*)",
+    "(?P<punct>%s)" % "|".join(
+        re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)),
+]), re.DOTALL)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-_SIMPLE = {
-    "(": T.LPAREN,
-    ")": T.RPAREN,
-    "{": T.LBRACE,
-    "}": T.RBRACE,
-    "[": T.LBRACKET,
-    "]": T.RBRACKET,
-    ",": T.COMMA,
-    ";": T.SEMI,
-    ":": T.COLON,
-    ".": T.DOT,
-    "*": T.STAR,
-    "%": T.PERCENT,
-}
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m[1], m[0])
 
 
 def lex(source: str, filename: str = "<script>") -> list[Token]:
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def error(msg: str) -> ShillSyntaxError:
-        return ShillSyntaxError(msg, line, col, filename)
-
-    def push(ttype: T, value: str) -> None:
-        tokens.append(Token(ttype, value, line, col))
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        # comments
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        # strings (double quotes; '' ... '' also accepted as in the paper's listings)
-        if ch == '"':
-            j = i + 1
-            out: list[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, "\\" + esc))
-                    j += 2
-                else:
-                    out.append(source[j])
-                    j += 1
-            if j >= n:
-                raise error("unterminated string literal")
-            push(T.STRING, "".join(out))
-            line, col = _advance_pos(source, i, j + 1, line, col)
-            i = j + 1
-            continue
-        if source.startswith("''", i):
-            end = source.find("''", i + 2)
-            if end == -1:
-                raise error("unterminated string literal")
-            push(T.STRING, source[i + 2 : end])
-            line, col = _advance_pos(source, i, end + 2, line, col)
-            i = end + 2
-            continue
-        # numbers
-        if ch.isdigit():
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            push(T.NUMBER, source[i:j])
-            col += j - i
-            i = j
-            continue
-        # identifiers
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            push(T.IDENT, source[i:j])
-            col += j - i
-            i = j
-            continue
-        # privilege literal: '+' immediately followed by a letter
-        if ch == "+" and i + 1 < n and (source[i + 1].isalpha()):
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "-_"):
-                j += 1
-            push(T.PRIV, source[i + 1 : j])
-            col += j - i
-            i = j
-            continue
-        # multi-character operators (longest match first)
-        for text, ttype in (
-            ("->", T.ARROW),
-            ("\\/", T.OR_CTC),
-            ("/\\", T.AND_CTC),
-            ("&&", T.AND),
-            ("||", T.OR),
-            ("==", T.EQ),
-            ("!=", T.NE),
-            ("<=", T.LE),
-            (">=", T.GE),
-        ):
-            if source.startswith(text, i):
-                push(ttype, text)
-                col += len(text)
-                i += len(text)
-                break
-        else:
-            if ch in _SIMPLE:
-                push(_SIMPLE[ch], ch)
-            elif ch == "=":
-                push(T.ASSIGN, ch)
-            elif ch == "<":
-                push(T.LT, ch)
-            elif ch == ">":
-                push(T.GT, ch)
-            elif ch == "!":
-                push(T.NOT, ch)
-            elif ch == "+":
-                push(T.PLUS, ch)
-            elif ch == "-":
-                push(T.MINUS, ch)
-            elif ch == "/":
-                push(T.SLASH, ch)
-            else:
-                raise error(f"unexpected character {ch!r}")
-            i += 1
-            col += 1
-
-    tokens.append(Token(T.EOF, "", line, col))
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    kind, col = None, 1
+    while pos < end:
+        col = pos - line_start + 1
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            msg = ("unterminated string literal"
+                   if source.startswith(('"', "''"), pos)
+                   else f"unexpected character {source[pos]!r}")
+            raise ShillSyntaxError(msg, line, col, filename)
+        kind, text, stop = m.lastgroup, m.group(), m.end()
+        if kind == "punct":
+            tokens.append(Token(_PUNCT[text], text, line, col))
+        elif kind == "string":
+            tokens.append(Token(T.STRING, _ESCAPE.sub(_unescape, text[1:-1]), line, col))
+        elif kind == "raw":
+            tokens.append(Token(T.STRING, text[2:-2], line, col))
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(Token(T.IDENT, text, line, col))
+        elif kind == "number" or kind == "word":
+            if not text[0].isdigit():
+                raise ShillSyntaxError(f"unexpected character {text[0]!r}",
+                                       line, col, filename)
+            if kind == "word":  # str.isdigit admits digits \d does not, such as '²'
+                stop = pos + 1
+            while source[stop:stop + 1].isdigit() or source[stop:stop + 1] == ".":
+                stop += 1
+            tokens.append(Token(T.NUMBER, source[pos:stop], line, col))
+        elif kind == "priv":
+            if text[1].isalpha():
+                tokens.append(Token(T.PRIV, text[1:], line, col))
+            else:  # '+²': [^\W\d_] admits non-letters too
+                tokens.append(Token(T.PLUS, "+", line, col))
+                stop = pos + 1
+        if "\n" in text:  # whitespace, or a string spanning lines
+            line += text.count("\n")
+            line_start = pos + text.rindex("\n") + 1
+        pos = stop
+    # A comment never advanced the column: an EOF right after one keeps
+    # the comment's.
+    tokens.append(Token(T.EOF, "", line,
+                        col if kind == "comment" else end - line_start + 1))
     return tokens

@@ -16,6 +16,17 @@ from repro.lang.tokens import T, Token
 
 _CAP_KINDS = {"file", "dir", "cap", "pipe"}
 
+#: Binary operators, loosest level first: each level's token types, and
+#: whether it chains (``a < b < c`` is a syntax error).  A BinOp's
+#: ``op`` is its token's text.
+_BINARY = (
+    ({T.OR}, True),
+    ({T.AND}, True),
+    ({T.EQ, T.NE, T.LT, T.GT, T.LE, T.GE}, False),
+    ({T.PLUS, T.MINUS}, True),
+    ({T.STAR, T.SLASH, T.PERCENT}, True),
+)
+
 
 class Parser:
     def __init__(self, tokens: list[Token], filename: str) -> None:
@@ -177,45 +188,17 @@ class Parser:
 
     # -- expressions -------------------------------------------------------------------
 
-    def parse_expr(self) -> A.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> A.Expr:
-        left = self.parse_and()
-        while self.at(T.OR):
-            self.advance()
-            left = A.BinOp("||", left, self.parse_and(), span=left.span)
-        return left
-
-    def parse_and(self) -> A.Expr:
-        left = self.parse_cmp()
-        while self.at(T.AND):
-            self.advance()
-            left = A.BinOp("&&", left, self.parse_cmp(), span=left.span)
-        return left
-
-    _CMP = {T.EQ: "==", T.NE: "!=", T.LT: "<", T.GT: ">", T.LE: "<=", T.GE: ">="}
-
-    def parse_cmp(self) -> A.Expr:
-        left = self.parse_add()
-        if self.peek().type in self._CMP:
-            op = self._CMP[self.advance().type]
-            return A.BinOp(op, left, self.parse_add(), span=left.span)
-        return left
-
-    def parse_add(self) -> A.Expr:
-        left = self.parse_mul()
-        while self.peek().type in (T.PLUS, T.MINUS):
-            op = "+" if self.advance().type is T.PLUS else "-"
-            left = A.BinOp(op, left, self.parse_mul(), span=left.span)
-        return left
-
-    def parse_mul(self) -> A.Expr:
-        left = self.parse_unary()
-        while self.peek().type in (T.STAR, T.SLASH, T.PERCENT):
-            tok = self.advance()
-            op = {"*": "*", "/": "/", "%": "%"}[tok.value]
-            left = A.BinOp(op, left, self.parse_unary(), span=left.span)
+    def parse_expr(self, level: int = 0) -> A.Expr:
+        """The binary operators of ``_BINARY[level:]``, then a unary."""
+        if level == len(_BINARY):
+            return self.parse_unary()
+        ops, chains = _BINARY[level]
+        left = self.parse_expr(level + 1)
+        while self.peek().type in ops:
+            op = self.advance().value
+            left = A.BinOp(op, left, self.parse_expr(level + 1), span=left.span)
+            if not chains:
+                break
         return left
 
     def parse_unary(self) -> A.Expr:
@@ -257,7 +240,10 @@ class Parser:
         tok = self.peek()
         if tok.type is T.NUMBER:
             self.advance()
-            value: object = float(tok.value) if "." in tok.value else int(tok.value)
+            try:
+                value: object = float(tok.value) if "." in tok.value else int(tok.value)
+            except ValueError:
+                raise self.error(f"malformed number literal {tok.value!r}", tok) from None
             return A.Lit(value, span=self.span_of(tok))
         if tok.type is T.STRING:
             self.advance()

@@ -33,6 +33,7 @@ from repro.remote.wire import (
     WIRE_VERSION,
     Connection,
     Message,
+    PeerError,
     WireClosed,
     WireError,
     WireVersionError,
@@ -45,6 +46,7 @@ __all__ = [
     "WireError",
     "WireClosed",
     "WireVersionError",
+    "PeerError",
     "HostPool",
     "HostSpec",
 ]

@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.remote.wire import ChannelMux, Message, WireError, open_link
+from repro.remote.wire import ChannelMux, Message, PeerError, WireError, open_link
 
 if TYPE_CHECKING:
     from repro.api.scheduling import SchedulingPolicy
@@ -270,7 +270,10 @@ class HostPool:
         way the host is excluded for this job and the loop tries the
         next, so every turn shrinks the candidate set.  Returns the
         reply — RESULT, or BUSY for the caller to back off on — and
-        raises :class:`HostsExhausted` once no host is left.
+        raises :class:`HostsExhausted` once no host is left.  A host
+        that answers ERROR on the request's channel raises
+        :class:`~repro.remote.wire.PeerError`: the job failed there, and
+        the host is neither struck nor excluded.
 
         ``log(event, **fields)`` narrates the decisions (``dispatch``,
         ``result``, ``prepared``, ``dead``, ``retired``, ``revived``);
@@ -290,6 +293,8 @@ class HostPool:
                             host=str(host.spec))
                         reply = link.request("SUBMIT", fields).expect(
                             "RESULT", "BUSY")
+                except PeerError:
+                    raise  # the host answered: this job failed, the host did not
                 except (WireError, OSError) as err:
                     excluded.add(host.spec)
                     if host.retired:

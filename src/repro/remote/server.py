@@ -163,6 +163,13 @@ class WireServer:
                     self._enter()
                     try:
                         self._handle_prepare(conn, msg)
+                    except WireClosed:
+                        raise
+                    except Exception as err:
+                        # This request failed, not the connection: its
+                        # job fails, and no caller strikes this end.
+                        conn.send("ERROR", msg.echo(
+                            {"error": f"{type(err).__name__}: {err}"}))
                     finally:
                         self._leave()
                 elif msg.type == "SUBMIT":

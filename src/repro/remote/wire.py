@@ -45,6 +45,11 @@ version raises :class:`WireVersionError` (the agent also refuses with
 an ERROR frame so mismatched coordinators get a readable diagnostic
 instead of a codec explosion).
 
+A request that fails at the peer is answered ERROR on its channel and
+raises :class:`PeerError`: that job fails, and the connection and the
+host stay up, neither struck nor retired.  Only an ERROR without a
+channel, such as the HELLO refusal, ends the conversation.
+
 A PREPARE whose snapshot the peer's store misses is answered NEED, and
 the caller sends the same PREPARE again with the snapshot bytes; the
 serving half of the protocol, that check included, is
@@ -134,6 +139,11 @@ class WireVersionError(WireError):
     """The two ends speak different :data:`WIRE_VERSION`\\ s."""
 
 
+class PeerError(WireError):
+    """The peer answered one request with an ERROR on its channel: that
+    request failed, and the connection and the peer stay healthy."""
+
+
 @dataclass(frozen=True)
 class Message:
     """One decoded frame.
@@ -158,9 +168,11 @@ class Message:
     def expect(self, *types: str) -> "Message":
         """Assert this message is one of ``types`` (protocol checking on
         both ends); an agent-side ERROR frame re-raises as the error it
-        reports."""
+        reports: a :class:`PeerError` when it names a channel, since
+        only that request failed."""
         if self.type == "ERROR" and "ERROR" not in types:
-            raise WireError(f"peer reported: {self.fields.get('error', 'unknown')}")
+            error = PeerError if "channel" in self.fields else WireError
+            raise error(f"peer reported: {self.fields.get('error', 'unknown')}")
         if self.type not in types:
             raise WireError(
                 f"expected {' or '.join(types)}, got {self.type!r}")

@@ -37,14 +37,16 @@ What the gateway adds over a static fleet:
 
 Failure taxonomy, preserved end to end: an agent *crash* strikes the
 host and the job retries on the survivors; a clean agent GOODBYE
-retires the host without a strike; a *deterministic* job failure comes
-back as ``RESULT {status: "error"}`` with the agent's attribution and
-is never retried; fleet exhaustion, or any other failure to relay (a
-policy that raises), is reported the same way — the gateway never
-answers a SUBMIT with a connection-killing ERROR frame, nor with
-silence.  A SIGTERM'd gateway retires like an agent: it drains its
-in-flight relays, says GOODBYE to its clients and its agents, and
-exits 0.
+retires the host without a strike; a request that fails at its peer (a
+PREPARE whose snapshot bytes miss their digest) is answered ERROR on its
+channel, so its job fails and neither end is struck nor retired; a
+*deterministic* job failure comes back as ``RESULT {status: "error"}``
+with the agent's attribution and is never retried; fleet exhaustion,
+or any other failure to relay (a policy that raises), is reported the
+same way — the gateway never answers a SUBMIT with a
+connection-killing ERROR frame, nor with silence.  A SIGTERM'd gateway
+retires like an agent: it drains its in-flight relays, says GOODBYE to
+its clients and its agents, and exits 0.
 
 On startup the gateway prints one machine-readable line::
 

@@ -265,6 +265,13 @@ def test_sh009_reports_syntax_errors_as_diagnostics():
     assert report.footprint.script == "broken.cap"
 
 
+def test_sh009_reports_a_malformed_number_literal_at_its_token():
+    report = lint_source("num.cap", "#lang shill/cap\nx = 1.2.3;\n")
+    [diag] = report.errors
+    assert diag.code == "SH009" and (diag.line, diag.col) == (2, 5)
+    assert "malformed number literal '1.2.3'" in diag.message
+
+
 # ---------------------------------------------------------------------------
 # SH010: uncacheable footprint (names the flag forcing UNKNOWN)
 # ---------------------------------------------------------------------------

@@ -132,6 +132,17 @@ class TestBatchBasics:
         assert [r.fingerprint() for r in parallel] == \
             [r.fingerprint() for r in (good, failed, good2)]
 
+    def test_malformed_number_literal_is_a_failed_result(self):
+        """A literal float()/int() refuses is a syntax error of its job,
+        not an engine failure that aborts the batch."""
+        bad = "#lang shill/ambient\nx = 1.2.3;\n"
+        failed, good = (Batch(_jpeg_world(), cache=False)
+                        .add(bad, name="bad").add(WALK_AMBIENT, name="good")
+                        .run())
+        assert failed.status == 1
+        assert "<batch>:2:5: malformed number literal '1.2.3'" in failed.stderr
+        assert good.ok
+
     def test_unknown_user_job_is_isolated_too(self):
         """An unknown job user fails that job alone (there is no session
         to snapshot, so only the error is reported)."""

@@ -89,6 +89,16 @@ class TestParserExpressions:
         expr = self._expr("!is_syserror(x)")
         assert isinstance(expr, A.UnOp) and expr.op == "!"
 
+    @pytest.mark.parametrize("literal", ["1.2.3", "2²"])
+    def test_malformed_number_literal_is_a_syntax_error(self, literal):
+        """The lexer reads any run of digits and dots as one number; the
+        parser, not float()/int(), reports the ones that are no number."""
+        with pytest.raises(ShillSyntaxError) as excinfo:
+            parse_source(f"a = 1;\nx = {literal};", "shill/cap")
+        err = excinfo.value
+        assert (err.line, err.col) == (2, 5)
+        assert str(err) == f"<script>:2:5: malformed number literal {literal!r}"
+
     def test_comparison(self):
         expr = self._expr("n <= 10")
         assert isinstance(expr, A.BinOp) and expr.op == "<="

@@ -10,7 +10,7 @@ import pytest
 
 from repro.api.scheduling import LeastLoaded, StoreWarmth
 from repro.remote.hostpool import HostPool, HostsExhausted, HostSpec, WireTemplate
-from repro.remote.wire import Message, WireClosed
+from repro.remote.wire import Message, PeerError, WireClosed
 
 
 class TestHostSpec:
@@ -219,6 +219,25 @@ class TestDispatch:
         assert not crashed.alive and crashed.strikes == 1
         assert survivor.jobs_done == 1
         assert events == ["dispatch", "dead", "dispatch", "result"]
+
+    def test_an_error_on_the_channel_fails_the_job_not_the_host(self):
+        """A channel-tagged ERROR is the host answering that one request
+        failed: the job fails with the host's message, and the host is
+        neither struck nor excluded, nor the job retried elsewhere."""
+        class Refusing(_FakeLink):
+            def request(self, type_, fields=None, blob=b""):
+                return Message("ERROR", {"channel": 1, "error":
+                                         "SUBMIT names an unprepared template"})
+
+        pool = _fake_pool(Refusing(), _FakeLink())
+        events = []
+        with pytest.raises(PeerError, match="unprepared template"):
+            pool.dispatch(TEMPLATE, {"name": "j"},
+                          log=lambda event, **f: events.append(event))
+        refusing, other = pool.hosts
+        assert refusing.alive and refusing.strikes == 0
+        assert refusing.inflight == 0 and other.jobs_done == 0
+        assert "dead" not in events
 
     def test_goodbye_retires_without_a_strike(self):
         pool = _fake_pool(_FakeLink(), _FakeLink())

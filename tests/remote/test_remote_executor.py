@@ -184,6 +184,29 @@ class TestEndToEnd:
         assert result.ok and result.stdout == "/home/alice/Documents\n"
         assert [path for path in planted.values() if path.exists()] == []
 
+    def test_a_prepare_the_agent_refuses_fails_the_job_not_the_host(
+            self, agent_factory, tmp_path):
+        """Snapshot bytes that miss the digest their PREPARE names are
+        refused on that request's channel: the job fails with the
+        agent's reason, the host stays up with no strike, and once the
+        blob is mended the next batch runs on the same link."""
+        _proc, addr = agent_factory("a0")
+        world = _jpeg_world()
+        with RemoteExecutor([addr], store=tmp_path / "coord") as executor:
+            blob = executor.store.blob_path(executor.prepare(world).snapshot)
+            good = blob.read_bytes()
+            blob.write_bytes(good + b"x")
+            with pytest.raises(BatchExecutionError, match="the PREPARE names"):
+                Batch(world, cache=False).add(WALK_AMBIENT).run(executor=executor)
+            [host] = executor.hosts
+            link = host.link
+            assert host.alive and host.strikes == 0 and link is not None
+            blob.write_bytes(good)
+            [result] = Batch(world, cache=False).add(WALK_AMBIENT) \
+                                                .run(executor=executor)
+            assert result.ok
+            assert host.link is link and host.strikes == 0
+
 
 class TestWireIdentity:
     def test_first_jobs_of_a_fresh_executor_snapshot_the_template_once(

@@ -199,6 +199,31 @@ find_jpg = fun(cur, out) {
             [result] = batch.run(executor=executor)
         assert "dog.jpg" in result.stdout
 
+    def test_a_prepare_the_gateway_refuses_fails_the_job_not_the_gateway(
+            self, fleet, tmp_path):
+        """The client's snapshot bytes miss the digest its PREPARE
+        names: the gateway refuses that request on its channel, so the
+        job fails with the reason, the gateway stays up with no strike,
+        and the mended blob's next batch runs on the same link."""
+        from repro.api import BatchExecutionError
+
+        gw, _agents, _log = fleet(agents=1)
+        world = _jpeg_world()
+        with ServeExecutor(gw, store=tmp_path / "client") as executor:
+            blob = executor.store.blob_path(executor.prepare(world).snapshot)
+            good = blob.read_bytes()
+            blob.write_bytes(good + b"x")
+            with pytest.raises(BatchExecutionError, match="the PREPARE names"):
+                Batch(world, cache=False).add(WALK_AMBIENT).run(executor=executor)
+            [gateway] = executor.hosts
+            link = gateway.link
+            assert gateway.alive and gateway.strikes == 0 and link is not None
+            blob.write_bytes(good)
+            [result] = Batch(world, cache=False).add(WALK_AMBIENT) \
+                                                .run(executor=executor)
+            assert result.ok
+            assert gateway.link is link and gateway.strikes == 0
+
 
 class TestGatewayPolicies:
     """Policies plug into the gateway exactly as into RemoteExecutor:
