@@ -270,6 +270,12 @@ class VFS:
         self.dcache_enabled = True
         self._dcache: dict[tuple[int, str], Vnode] = {}
         self._dcache_gen = self._generation
+        # Path memo behind path_of: vnode → the path its name-cache chain
+        # spells, valid while the generation matches and no lookup has
+        # moved a name-cache entry (cache_enter drops what a move makes
+        # stale).  Follows dcache_enabled; off, every call walks.
+        self._paths: dict[Vnode, str] = {}
+        self._paths_gen = self._generation
         # Lazy-fork state (populated on clones made by fork()):
         # vid → this tree's private clone of a template vnode, plus the
         # vid watermark at fork time (vids below it that are not in the
@@ -319,8 +325,7 @@ class VFS:
                 if self.stats is not None:
                     self.stats.dcache_hits += 1
                 # A hit has the same name-cache effect a walk would.
-                cached.nc_parent = dvp
-                cached.nc_name = name
+                self.cache_enter(dvp, name, cached)
                 return cached
         self._vop("lookup")
         if not dvp.is_dir:
@@ -337,8 +342,7 @@ class VFS:
         if dvp.entries_lazy:
             vp = self._materialize_child(dvp, name, vp)
         # Refresh the name cache on every successful lookup.
-        vp.nc_parent = dvp
-        vp.nc_name = name
+        self.cache_enter(dvp, name, vp)
         if cacheable:
             if self.stats is not None:
                 self.stats.dcache_misses += 1
@@ -497,6 +501,27 @@ class VFS:
 
     # -- the name cache / `path` -----------------------------------------------
 
+    def cache_enter(self, dvp: Vnode, name: str, vp: Vnode) -> None:
+        """Record in the name cache that ``vp`` was reached as ``dvp``/``name``.
+
+        Every lookup writes the pair through here (a walk, a dcache hit,
+        the syscall layer's resolved-path hit).  A lookup that *moves* a
+        pair already set — a hard-linked file reached under its other
+        name — changes what :meth:`path_of` spells without moving
+        ``generation``, so it drops the memo entries the move makes stale:
+        the file's own, or every entry for a directory, whose descendants'
+        paths run through it.
+        """
+        if vp.nc_parent is not None and (vp.nc_parent is not dvp or vp.nc_name != name):
+            if vp.is_dir:
+                self._paths.clear()
+            else:
+                self._paths.pop(vp, None)
+        # Written even when unchanged: which string object holds the name
+        # shows in snapshot bytes (pickle shares equal objects only).
+        vp.nc_parent = dvp
+        vp.nc_name = name
+
     def path_of(self, vp: Vnode) -> str:
         """Reconstruct an accessible path for ``vp`` from the name cache.
 
@@ -504,12 +529,28 @@ class VFS:
         unlinked), matching the paper's note that "if the path system call
         fails, SHILL uses the last known path at which the file was
         accessible" — that fallback lives in the capability layer.
+
+        With the dcache enabled, paths are memoised: the walk up the
+        chain, checking that each entry is still live, stops at the
+        nearest ancestor whose path is memoised and extends it.  Disabled,
+        every call walks to the root (the reference the memo must equal).
         """
         if vp is self.root:
             return "/"
-        parts: list[str] = []
-        node = vp
+        if self.dcache_enabled:
+            if self._paths_gen != self._generation:
+                self._paths.clear()
+                self._paths_gen = self._generation
+            paths = self._paths
+            path = paths.get(vp)
+            if path is not None:
+                return path
+        else:
+            paths = {}
+        chain: list[Vnode] = []
         seen: set[int] = set()
+        node = vp
+        path = ""
         while node is not self.root:
             if node.vid in seen or node.nc_parent is None or node.nc_name is None:
                 raise SysError(errno_.ENOENT, "name cache cannot resolve a path")
@@ -518,9 +559,16 @@ class VFS:
             if not parent.is_dir or parent.entries is None or parent.entries.get(node.nc_name) is not node:
                 raise SysError(errno_.ENOENT, "stale name cache entry")
             seen.add(node.vid)
-            parts.append(node.nc_name)
+            chain.append(node)
             node = parent
-        return "/" + "/".join(reversed(parts))
+            known = paths.get(node)
+            if known is not None:
+                path = known
+                break
+        for node in reversed(chain):
+            path = path + "/" + node.nc_name
+            paths[node] = path
+        return path
 
     # -- attributes --------------------------------------------------------------
 

@@ -20,11 +20,26 @@ _MISSING = object()
 
 
 class Env:
-    __slots__ = ("_frame", "_parent")
+    __slots__ = ("_frame", "_parent", "_top")
 
     def __init__(self, parent: Optional["Env"] = None) -> None:
         self._frame: dict[str, Any] = {}
         self._parent = parent
+        # The bindings of the chain's top frame: a module's builtins,
+        # imports and top-level definitions.  Compiled code reads a name
+        # that no enclosing function, block or ``for`` binds with one
+        # probe here instead of a walk up the chain.
+        self._top: dict[str, Any] = self._frame if parent is None else parent._top
+
+    def child(self, bindings: dict[str, Any]) -> "Env":
+        """A frame over this one holding ``bindings``, whose names the
+        caller has made distinct (a call's parameters, a loop variable),
+        so no ``define`` check is needed."""
+        env = Env.__new__(Env)
+        env._frame = bindings
+        env._parent = self
+        env._top = self._top
+        return env
 
     def define(self, name: str, value: Any) -> None:
         if name in self._frame:

@@ -13,6 +13,17 @@ scoping, the knot that ties recursive definitions and every error message
 are those of the language; the compiled code holds no environment,
 runtime or capability and can be shared by every run in the process.
 
+The compiler knows which names each frame may bind: a function's
+parameters, a ``for`` variable, and the definitions among a block's
+statements.  A name that no enclosing function, block or ``for`` binds
+can only live in the module's top frame (builtins, imports, top-level
+definitions), so it compiles to one probe of that frame.  Every other
+name walks the chain, because a block may read an outer binding before
+its own definition of the name has run.
+
+Call sites with up to three positional arguments pass them to a builtin,
+or bind them in a closure's parameter frame, without building a list.
+
 Value application — closures, builtins, and contract-guarded functions —
 funnels through :func:`apply`, which is where function contracts
 interpose.
@@ -57,14 +68,18 @@ def apply(fn: Any, args: Sequence[Any], kwargs: Mapping[str, Any] | None = None)
 def _enter(fn: Closure, args: Sequence[Any], kwargs: Mapping[str, Any] | None) -> Any:
     if kwargs:
         raise ShillRuntimeError(f"{fn.display_name} does not accept keyword arguments")
-    if len(args) != len(fn.params):
+    params = fn.params
+    if len(args) != len(params):
         raise ShillRuntimeError(
-            f"{fn.display_name} expects {len(fn.params)} argument(s), got {len(args)}"
+            f"{fn.display_name} expects {len(params)} argument(s), got {len(args)}"
         )
-    env = Env(fn.env)
-    for name, value in zip(fn.params, args):
-        env.define(name, value)
-    return fn.body(env)
+    frame = dict(zip(params, args))
+    if len(frame) < len(params):
+        # A repeated parameter name: ``define`` reports the duplicate.
+        env = Env(fn.env)
+        for name, value in zip(params, args):
+            env.define(name, value)
+    return fn.body(fn.env.child(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +88,18 @@ def _enter(fn: Closure, args: Sequence[Any], kwargs: Mapping[str, Any] | None) -
 
 
 def compile_stmts(stmts: Sequence[A.Stmt]) -> Code:
-    """Code running ``stmts`` in the environment it is given; its value is
-    the last statement's (``void`` when there are none)."""
-    codes = tuple(_compile(stmt) for stmt in stmts)
+    """Code running the module body ``stmts`` in a top frame (one with no
+    parent); its value is the last statement's (``void`` when there are
+    none)."""
+    return _stmts(stmts, frozenset())
+
+
+#: The names the frames enclosing a node may bind (its top frame aside).
+Local = frozenset
+
+
+def _stmts(stmts: Sequence[A.Stmt], local: Local) -> Code:
+    codes = tuple(_compile(stmt, local) for stmt in stmts)
     if len(codes) == 1:
         return codes[0]
 
@@ -88,44 +112,71 @@ def compile_stmts(stmts: Sequence[A.Stmt]) -> Code:
     return seq
 
 
-def _compile(node: A.Node) -> Code:
+def _defined(stmts: Sequence[A.Stmt]) -> set[str]:
+    """The names a frame running ``stmts`` binds: their definitions,
+    including one an ``if`` branch holds, which runs in the same frame."""
+    names: set[str] = set()
+    for stmt in stmts:
+        if isinstance(stmt, A.Def):
+            names.add(stmt.name)
+        elif isinstance(stmt, A.If):
+            names |= _defined([stmt.then] if stmt.otherwise is None
+                              else [stmt.then, stmt.otherwise])
+    return names
+
+
+def _compile(node: A.Node, local: Local) -> Code:
     compiler = _COMPILERS.get(type(node))
     if compiler is None:
         raise ShillRuntimeError(f"unknown expression {node!r}")
-    return compiler(node)
+    return compiler(node, local)
 
 
-def _lit(node: A.Lit) -> Code:
+def _lit(node: A.Lit, local: Local) -> Code:
     value = node.value
     return lambda env: value
 
 
-def _var(node: A.Var) -> Code:
+def _var(node: A.Var, local: Local) -> Code:
     name = node.name
+    if name in local:
 
-    def var(env: Env) -> Any:
-        value = env.lookup(name)
+        def var(env: Env) -> Any:
+            value = env.lookup(name)
+            if value is _PENDING:
+                raise ShillRuntimeError(f"variable {name!r} used before its definition completed")
+            return value
+
+        return var
+
+    def top_var(env: Env) -> Any:
+        value = env._top.get(name, _PENDING)
         if value is _PENDING:
-            raise ShillRuntimeError(f"variable {name!r} used before its definition completed")
+            if name in env._top:
+                raise ShillRuntimeError(f"variable {name!r} used before its definition completed")
+            raise ShillRuntimeError(f"unbound variable {name!r}")
         return value
 
-    return var
+    return top_var
 
 
-def _list(node: A.ListLit) -> Code:
-    items = tuple(_compile(item) for item in node.items)
+def _list(node: A.ListLit, local: Local) -> Code:
+    items = tuple(_compile(item, local) for item in node.items)
     return lambda env: [item(env) for item in items]
 
 
-def _fun(node: A.Fun) -> Code:
-    name, params, body = node.name, node.params, _block(node.body)
+def _fun(node: A.Fun, local: Local) -> Code:
+    name, params = node.name, node.params
+    body = _block(node.body, local | set(params))
     return lambda env: Closure(name, params, body, env)
 
 
-def _call(node: A.Call) -> Code:
-    callee = _compile(node.fn)
-    arg_codes = tuple(_compile(arg) for arg in node.args)
-    kw_codes = tuple((key, _compile(val)) for key, val in node.kwargs)
+def _call(node: A.Call, local: Local) -> Code:
+    callee = _compile(node.fn, local)
+    arg_codes = tuple(_compile(arg, local) for arg in node.args)
+    kw_codes = tuple((key, _compile(val, local)) for key, val in node.kwargs)
+    if not kw_codes and len(arg_codes) < len(_CALL_SITES):
+        return _CALL_SITES[len(arg_codes)](callee, *arg_codes)
 
     def call(env: Env) -> Any:
         fn = callee(env)
@@ -141,8 +192,76 @@ def _call(node: A.Call) -> Code:
     return call
 
 
-def _unary(node: A.UnOp) -> Code:
-    operand = _compile(node.operand)
+# Call sites with 0-3 positional arguments and no keywords.  A builtin
+# gets the values directly; a closure of that arity gets a parameter
+# frame built in one dict.  Anything else (another arity, a repeated
+# parameter name, a guarded or Python function) goes through ``apply``,
+# which raises the errors or interposes the contract.
+
+
+def _call0(callee: Code) -> Code:
+    def call(env: Env) -> Any:
+        fn = callee(env)
+        if isinstance(fn, BuiltinFunction):
+            return fn.fn()
+        if isinstance(fn, Closure) and not fn.params:
+            return fn.body(fn.env.child({}))
+        return apply(fn, [])
+
+    return call
+
+
+def _call1(callee: Code, a: Code) -> Code:
+    def call(env: Env) -> Any:
+        fn = callee(env)
+        x = a(env)
+        if isinstance(fn, BuiltinFunction):
+            return fn.fn(x)
+        if isinstance(fn, Closure) and len(fn.params) == 1:
+            return fn.body(fn.env.child({fn.params[0]: x}))
+        return apply(fn, [x])
+
+    return call
+
+
+def _call2(callee: Code, a: Code, b: Code) -> Code:
+    def call(env: Env) -> Any:
+        fn = callee(env)
+        x = a(env)
+        y = b(env)
+        if isinstance(fn, BuiltinFunction):
+            return fn.fn(x, y)
+        if isinstance(fn, Closure) and len(fn.params) == 2:
+            p, q = fn.params
+            if p != q:
+                return fn.body(fn.env.child({p: x, q: y}))
+        return apply(fn, [x, y])
+
+    return call
+
+
+def _call3(callee: Code, a: Code, b: Code, c: Code) -> Code:
+    def call(env: Env) -> Any:
+        fn = callee(env)
+        x = a(env)
+        y = b(env)
+        z = c(env)
+        if isinstance(fn, BuiltinFunction):
+            return fn.fn(x, y, z)
+        if isinstance(fn, Closure) and len(fn.params) == 3:
+            p, q, r = fn.params
+            if p != q and p != r and q != r:
+                return fn.body(fn.env.child({p: x, q: y, r: z}))
+        return apply(fn, [x, y, z])
+
+    return call
+
+
+_CALL_SITES = (_call0, _call1, _call2, _call3)
+
+
+def _unary(node: A.UnOp, local: Local) -> Code:
+    operand = _compile(node.operand, local)
     if node.op == "!":
         return lambda env: not truthy(operand(env))
     if node.op != "-":
@@ -157,8 +276,8 @@ def _unary(node: A.UnOp) -> Code:
     return negate
 
 
-def _binary(node: A.BinOp) -> Code:
-    left, right = _compile(node.left), _compile(node.right)
+def _binary(node: A.BinOp, local: Local) -> Code:
+    left, right = _compile(node.left, local), _compile(node.right, local)
     if node.op == "&&":
         return lambda env: truthy(left(env)) and truthy(right(env))
     if node.op == "||":
@@ -169,35 +288,43 @@ def _binary(node: A.BinOp) -> Code:
     return lambda env: op(left(env), right(env))
 
 
-def _if(node: A.If) -> Code:
-    cond, then = _compile(node.cond), _compile(node.then)
-    otherwise = compile_stmts(() if node.otherwise is None else (node.otherwise,))
-    return lambda env: then(env) if truthy(cond(env)) else otherwise(env)
+def _if(node: A.If, local: Local) -> Code:
+    cond, then = _compile(node.cond, local), _compile(node.then, local)
+    otherwise = _stmts(() if node.otherwise is None else (node.otherwise,), local)
+
+    def if_(env: Env) -> Any:
+        test = cond(env)
+        if test is True:
+            return then(env)
+        if test is False:
+            return otherwise(env)
+        return truthy(test)  # not a boolean: raises the language's error
+
+    return if_
 
 
-def _for(node: A.For) -> Code:
-    var, iterable, body = node.var, _compile(node.iterable), compile_stmts(node.body.stmts)
+def _for(node: A.For, local: Local) -> Code:
+    var, iterable = node.var, _compile(node.iterable, local)
+    body = _stmts(node.body.stmts, local | {var} | _defined(node.body.stmts))
 
     def for_(env: Env) -> Any:
         items = iterable(env)
         if not isinstance(items, (list, tuple)):
             raise ShillRuntimeError(f"for expects a list, got {items!r}")
         for item in items:
-            body_env = Env(env)
-            body_env.define(var, item)
-            body(body_env)
+            body(env.child({var: item}))
         return VOID
 
     return for_
 
 
-def _block(node: A.Block) -> Code:
-    stmts = compile_stmts(node.stmts)
+def _block(node: A.Block, local: Local) -> Code:
+    stmts = _stmts(node.stmts, local | _defined(node.stmts))
     return lambda env: stmts(Env(env))
 
 
-def _def(node: A.Def) -> Code:
-    name, expr = node.name, _compile(node.expr)
+def _def(node: A.Def, local: Local) -> Code:
+    name, expr = node.name, _compile(node.expr, local)
 
     def define(env: Env) -> Any:
         env.define(name, _PENDING)
@@ -210,11 +337,11 @@ def _def(node: A.Def) -> Code:
     return define
 
 
-def _expr_stmt(node: A.ExprStmt) -> Code:
-    return _compile(node.expr)
+def _expr_stmt(node: A.ExprStmt, local: Local) -> Code:
+    return _compile(node.expr, local)
 
 
-_COMPILERS: dict[type, Callable[[Any], Code]] = {
+_COMPILERS: dict[type, Callable[[Any, Local], Code]] = {
     A.Lit: _lit,
     A.Var: _var,
     A.ListLit: _list,

@@ -272,10 +272,21 @@ def spawn_local_agent(store: "Path | str", *, host: str = "127.0.0.1",
         proc.kill()
         raise RuntimeError(f"agent failed to start (exit {proc.poll()}): {line!r}")
     parts = dict(item.split("=", 1) for item in line.split()[2:])
-    # Drain stdout in the background so a chatty agent never blocks on a
-    # full pipe.
-    threading.Thread(target=proc.stdout.read, daemon=True).start()
+    drain_stdout(proc)
     return proc, f"{parts['host']}:{parts['port']}"
+
+
+def drain_stdout(proc: "subprocess.Popen") -> threading.Thread:
+    """Read a spawned child's stdout to EOF on a daemon thread named
+    ``drain-<pid>``, so a chatty child never blocks on a full pipe, and
+    close the pipe at EOF (the child has exited or closed it)."""
+    def drain() -> None:
+        with proc.stdout:
+            proc.stdout.read()
+
+    thread = threading.Thread(target=drain, name=f"drain-{proc.pid}", daemon=True)
+    thread.start()
+    return thread
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via `-m repro agent`

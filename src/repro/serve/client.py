@@ -15,8 +15,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
+
+from repro.remote.agent import drain_stdout
 
 
 def spawn_local_gateway(store: "Path | str", *, host: str = "127.0.0.1",
@@ -66,7 +67,5 @@ def spawn_local_gateway(store: "Path | str", *, host: str = "127.0.0.1",
         raise RuntimeError(
             f"gateway failed to start (exit {proc.poll()}): {line!r}")
     parts = dict(item.split("=", 1) for item in line.split()[2:])
-    # Drain stdout in the background so a chatty gateway never blocks on
-    # a full pipe.
-    threading.Thread(target=proc.stdout.read, daemon=True).start()
+    drain_stdout(proc)
     return proc, f"{parts['host']}:{parts['port']}"

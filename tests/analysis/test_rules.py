@@ -272,6 +272,14 @@ def test_sh009_reports_a_malformed_number_literal_at_its_token():
     assert "malformed number literal '1.2.3'" in diag.message
 
 
+def test_sh009_reports_deep_nesting_at_its_opening_token():
+    report = lint_source("deep.cap", "#lang shill/cap\nx = " + "(" * 150 + "1"
+                         + ")" * 150 + ";\n")
+    [diag] = report.errors
+    assert diag.code == "SH009" and (diag.line, diag.col) == (2, 69)
+    assert "nested too deeply" in diag.message
+
+
 # ---------------------------------------------------------------------------
 # SH010: uncacheable footprint (names the flag forcing UNKNOWN)
 # ---------------------------------------------------------------------------

@@ -167,6 +167,44 @@ class TestEquivalence:
             assert [r.fingerprint() for r in run(executor)] == \
                 [r.fingerprint() for r in baseline], name
 
+    def test_deep_nesting_runs_and_fails_alike_on_sequential_and_store(self, tmp_path):
+        """50 levels of each nesting form run; 150 are a syntax error of
+        their own job, at the same place on both executors (the parser's
+        limit is a count, not the stack of whatever thread runs it)."""
+        def deep_cap(levels):
+            return ("#lang shill/cap\nprovide deep : {n : is_num} -> is_num;\n"
+                    "deep = fun(n) { " + "{" * levels + " n + 1; " + "}" * levels + " }\n")
+
+        def ambient(expr, levels):
+            return (f"#lang shill/ambient\nx = {expr(levels)};\n"
+                    "append(stdout, to_string(x) + \"\\n\");\n")
+
+        forms = [lambda n: "(" * n + "1" + ")" * n,
+                 lambda n: "!" * n + "true",
+                 lambda n: "[" * n + "1" + "]" * n]
+        registry = (ScriptRegistry().add("deep50.cap", deep_cap(50))
+                    .add("deep150.cap", deep_cap(150)))
+        sources = [ambient(form, levels) for levels in (50, 150) for form in forms]
+        sources += [f'#lang shill/ambient\nrequire "deep{levels}.cap";\n'
+                    f'append(stdout, to_string(deep(41)) + "\\n");\n'
+                    for levels in (50, 150)]
+
+        def run(executor):
+            clear_result_cache()
+            batch = Batch(_jpeg_world(), scripts=registry, cache=False)
+            for source in sources:
+                batch.add(source)
+            with executor:
+                return batch.run(executor=executor)
+
+        sequential = run(SequentialExecutor())
+        stored = run(StoreExecutor(store=SnapshotStore(tmp_path / "store"), workers=2))
+        assert [r.fingerprint() for r in stored] == [r.fingerprint() for r in sequential]
+        assert [r.stdout for r in sequential[:3]] == ["1\n", "true\n", "[" * 50 + "1" + "]" * 50 + "\n"]
+        assert sequential[6].stdout == "42\n"
+        for result in sequential[3:6] + sequential[7:]:
+            assert result.status == 1 and "nested too deeply" in result.stderr
+
 
 LOCAL_EXECUTORS = (SequentialExecutor, ThreadExecutor, ProcessExecutor)
 LOCAL_IDS = [make.name for make in LOCAL_EXECUTORS]

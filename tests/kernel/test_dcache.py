@@ -3,18 +3,20 @@
 The caching contract is purely observational: with the dcache enabled,
 every resolution returns the same vnode (or raises the same errno) and
 every MAC decision — denials above all — is identical to the uncached
-walk.  The hypothesis machine drives two forks of one booted world, one
-cached and one not, through random mkdir/write/unlink/rename/symlink/
-label-mutation interleavings and compares every probe; the unit tests
-pin the three invalidation edges (unlink, rename, label change) the
-machine would only hit probabilistically.
+walk, and ``path_of`` (memoised with the dcache) spells the path the
+uncached walk up the name cache spells.  The hypothesis machine drives
+two forks of one booted world, one cached and one not, through random
+mkdir/write/unlink/rename/symlink/hard-link/label-mutation interleavings
+and compares every probe; the unit tests pin the invalidation edges
+(unlink, rename, label change, a hard link's name moved by a cache hit)
+the machine would only hit probabilistically.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import settings
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from repro.api import World
@@ -25,7 +27,7 @@ from repro.sandbox.privmap import ensure_privmap
 
 PATHS = [
     "/", "/a", "/b", "/c", "/a/b", "/a/c", "/a/b/c", "/b/a",
-    "a", "a/b", "./a", "../a", "/a/../b", "/a/./b",
+    "a", "a/b", "./a", "../a", "/a/../b", "/a/./b", "/a/f", "/b/g",
 ]
 
 
@@ -60,6 +62,17 @@ class DcacheEquivalence(RuleBasedStateMachine):
         self.k_on, self.k_off = _twin_kernels()
         self.pairs = [(k, k.syscalls(k.spawn_process("root", "/root")))
                       for k in (self.k_on, self.k_off)]
+        # (cached vnode, uncached vnode) pairs resolved so far, whose
+        # paths are probed again after later operations.
+        self.held: list[tuple] = []
+        # Both machines start with one file under two names, /a/f and
+        # /b/g, so the hard-link edge of the path memo is reachable from
+        # the first step.
+        for _kernel, sys in self.pairs:
+            sys.mkdir("/a")
+            sys.mkdir("/b")
+            sys.close(sys.open("/a/f", O_WRONLY | O_CREAT))
+            sys.link("/a/f", "/b/g")
 
     def _apply(self, op):
         """Run one mutation on both machines; outcomes must agree."""
@@ -98,6 +111,10 @@ class DcacheEquivalence(RuleBasedStateMachine):
     def symlink(self, dest, link):
         self._apply(lambda sys: sys.symlink(dest, link))
 
+    @rule(src=st.sampled_from(PATHS), dst=st.sampled_from(PATHS))
+    def link(self, src, dst):
+        self._apply(lambda sys: sys.link(src, dst))
+
     @rule(path=st.sampled_from(PATHS))
     def mutate_label(self, path):
         """Grant-shaped label mutation on both machines (the epoch bump a
@@ -121,6 +138,34 @@ class DcacheEquivalence(RuleBasedStateMachine):
                          want_parent=want_parent)
                 for kernel, sys in self.pairs]
         assert seen[0] == seen[1], (path, follow, want_parent)
+
+    @rule(path=st.sampled_from(PATHS))
+    def hold(self, path):
+        """Keep what ``path`` resolves to on both machines, for the
+        ``path_of`` invariant below."""
+        vnodes = []
+        for _kernel, sys in self.pairs:
+            try:
+                vnodes.append(sys._resolve(path)[2])
+            except SysError:
+                return
+        if vnodes[0] is not None:
+            self.held.append(tuple(vnodes))
+
+    @invariant()
+    def paths_agree(self):
+        """The memo's property: after every step (renames, unlinks, and
+        lookups that moved a hard link's name without a tree change),
+        ``path_of`` of every held vnode spells what the unmemoised walk
+        spells, or fails with the same errno."""
+        for vnodes in self.held:
+            seen = []
+            for (kernel, _sys), vp in zip(self.pairs, vnodes):
+                try:
+                    seen.append(kernel.vfs.path_of(vp))
+                except SysError as err:
+                    seen.append(("errno", err.errno))
+            assert seen[0] == seen[1]
 
 
 TestDcacheEquivalence = DcacheEquivalence.TestCase
@@ -189,6 +234,28 @@ class TestInvalidation:
         post_mutation_cost = kernel.stats.mac_checks - checks_before
         assert post_mutation_cost > cached_cost, (
             "label mutation did not force a fresh checked walk")
+
+    def test_a_resolve_hit_moves_a_hard_links_path(self, kernel, sys):
+        """A resolved-path hit re-enters its final name in the name
+        cache, as the walk it skips would; a hard-linked file's
+        ``path_of`` must follow it, though no tree change moved the
+        generation the path memo is also keyed by."""
+        sys.mkdir("/tmp/a")
+        sys.mkdir("/tmp/b")
+        sys.close(sys.open("/tmp/a/f", O_WRONLY | O_CREAT))
+        sys.link("/tmp/a/f", "/tmp/b/g")
+        _warm(sys, "/tmp/a/f")
+        _warm(sys, "/tmp/b/g")
+        vfs = kernel.vfs
+        generation, hits = vfs.generation, kernel.stats.dcache_hits
+        vp = sys._resolve("/tmp/a/f")[2]
+        assert vfs.path_of(vp) == "/tmp/a/f"
+        assert sys._resolve("/tmp/b/g")[2] is vp
+        assert vfs.path_of(vp) == "/tmp/b/g"
+        sys._resolve("/tmp/a/f")
+        assert vfs.path_of(vp) == "/tmp/a/f"
+        assert kernel.stats.dcache_hits == hits + 3
+        assert vfs.generation == generation
 
     def test_disabled_dcache_counts_nothing(self):
         """Boot itself resolves through the cache; after disabling, the

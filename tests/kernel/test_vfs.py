@@ -190,6 +190,42 @@ def test_path_of_follows_the_latest_lookup_of_a_hard_link(vfs: VFS):
     assert vfs.generation == generation
 
 
+def test_path_of_follows_a_renamed_ancestor(vfs: VFS):
+    """A memoised path goes stale with any ancestor's rename."""
+    a = vfs.create(vfs.root, "a", VType.VDIR, 0o755, 0, 0)
+    b = vfs.create(a, "b", VType.VDIR, 0o755, 0, 0)
+    f = vfs.create(b, "f", VType.VREG, 0o644, 0, 0)
+    assert vfs.path_of(f) == "/a/b/f"
+    vfs.rename(vfs.root, "a", vfs.root, "c")
+    assert vfs.path_of(f) == "/c/b/f"
+    assert vfs.path_of(b) == "/c/b"
+
+
+def test_path_of_extends_the_nearest_memoised_ancestor(vfs: VFS):
+    a = vfs.create(vfs.root, "a", VType.VDIR, 0o755, 0, 0)
+    b = vfs.create(a, "b", VType.VDIR, 0o755, 0, 0)
+    assert vfs.path_of(b) == "/a/b"
+    f = vfs.create(b, "f", VType.VREG, 0o644, 0, 0)
+    g = vfs.create(b, "g", VType.VREG, 0o644, 0, 0)
+    assert (vfs.path_of(f), vfs.path_of(g)) == ("/a/b/f", "/a/b/g")
+    vfs.unlink(b, "f")
+    with pytest.raises(SysError):
+        vfs.path_of(f)
+    assert vfs.path_of(g) == "/a/b/g"
+
+
+def test_a_lookup_stores_its_name_even_when_equal(vfs: VFS):
+    """Which string object holds a name shows in snapshot bytes (pickle
+    shares only identical objects), so a lookup that leaves the name
+    cache's pair unchanged still stores its own name, as a walk did
+    before the path memo."""
+    d = vfs.create(vfs.root, "directory", VType.VDIR, 0o755, 0, 0)
+    for _ in range(2):  # a walk, then a dcache hit
+        name = "".join(["direc", "tory"])
+        assert vfs.lookup(vfs.root, name) is d
+        assert d.nc_name is name
+
+
 def test_read_write_roundtrip(vfs: VFS):
     f = vfs.create(vfs.root, "f", VType.VREG, 0o644, 0, 0)
     assert vfs.write_file(f, 0, b"hello") == 5

@@ -232,3 +232,117 @@ class TestScopingPins:
         with pytest.raises(ShillRuntimeError, match="duplicate definition of 'x'"):
             rt.run_ambient('#lang shill/ambient\nappend(stdout, "a\\n");\nx = 1;\nx = 2;\n')
         assert rt.tty.text == "a\n"
+
+
+class TestNameResolution:
+    """A name no enclosing function, block or ``for`` binds is read from
+    the module's top frame in one probe; every other name walks the
+    chain.  Local bindings must still shadow the builtins up there."""
+
+    def test_a_parameter_shadows_a_builtin(self, rt):
+        f = run_fn(rt, "provide f : {x : is_num} -> is_num;\n"
+                       "g = fun(path) { path + 1; }\nf = fun(x) { g(x); }\n")
+        assert rt.call(f, 1) == 2
+
+    def test_a_for_variable_shadows_a_builtin(self, rt):
+        """``lookup + 1`` fails on the builtin; on the loop's numbers the
+        body's block reads them back."""
+        f = run_fn(rt, "provide f : {l : is_list} -> is_num;\n"
+                       "f = fun(l) { for lookup in l { n = { lookup + 1; }; n; } length(l); }\n")
+        assert rt.call(f, [1, 2]) == 2
+
+    def test_a_block_definition_shadows_a_builtin(self, rt):
+        f = run_fn(rt, "provide f : {x : is_num} -> is_num;\n"
+                       "f = fun(x) { contents = x * 3; contents; }\n")
+        assert rt.call(f, 2) == 6
+
+    def test_a_closure_calls_a_top_level_sibling_defined_after_it(self, rt):
+        f = run_fn(rt, "provide f : {x : is_num} -> is_num;\n"
+                       "f = fun(x) { later(x) + 1; }\n"
+                       "later = fun(y) { y * 10; }\n")
+        assert rt.call(f, 4) == 41
+
+    def test_an_unbound_name_keeps_its_error(self, rt):
+        f = run_fn(rt, "provide f : {x : is_num} -> is_num;\nf = fun(x) { nowhere; }\n")
+        with pytest.raises(ShillRuntimeError, match="^unbound variable 'nowhere'$"):
+            rt.call(f, 1)
+
+    def test_a_top_level_read_before_its_definition_completes(self, rt):
+        rt.register_script("early.cap", "#lang shill/cap\nprovide f : is_num -> is_num;\n"
+                                        "g = fun() { x; }\nx = g();\nf = fun(y) { y; }\n")
+        with pytest.raises(ShillRuntimeError,
+                           match="^variable 'x' used before its definition completed$"):
+            rt.load_cap_exports("early.cap")
+
+
+class TestCallSites:
+    """Calls with 0-3 positional arguments skip the argument list; their
+    arity and keyword errors must be byte-identical to ``apply``'s for
+    builtins, closures and contract-guarded functions alike."""
+
+    CALLEE = ("#lang shill/cap\nprovide gf : {a : is_num, b : is_num} -> is_num;\n"
+              "gf = fun(a, b) { a + b; }\n")
+    GUARDED = ("contract violation: blaming edge.cap: arity mismatch: expected 2 "
+               "argument(s), got {n} (contract: {{a : is_num, b : is_num}} -> is_num)")
+
+    def _call(self, rt, callee: str, args: str):
+        rt.register_script("callee.cap", self.CALLEE)
+        f = run_fn(rt, 'require "callee.cap";\nprovide f : {x : is_num} -> any;\n'
+                       "g = fun(a, b) { a + b; }\n"
+                       f"f = fun(x) {{ {callee}({args}); }}\n")
+        try:
+            return repr(rt.call(f, 1))
+        except Exception as err:  # noqa: BLE001 - the error is the observation
+            return f"{type(err).__name__}: {err}"
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("keyword", [False, True], ids=["positional", "keyword"])
+    def test_closure_errors(self, rt, n, keyword):
+        args = ", ".join(str(i + 1) for i in range(n)) + (", k = 9" if n else "k = 9") * keyword
+        if keyword:
+            expected = "ShillRuntimeError: g does not accept keyword arguments"
+        elif n == 2:
+            expected = "3"
+        else:
+            expected = f"ShillRuntimeError: g expects 2 argument(s), got {n}"
+        assert self._call(rt, "g", args) == expected
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("keyword", [False, True], ids=["positional", "keyword"])
+    def test_guarded_errors(self, rt, n, keyword):
+        args = ", ".join(str(i + 1) for i in range(n)) + (", k = 9" if n else "k = 9") * keyword
+        if n == 2:
+            expected = ("ShillRuntimeError: gf does not accept keyword arguments"
+                        if keyword else "3")
+        else:
+            expected = "ContractViolation: " + self.GUARDED.format(n=n)
+        assert self._call(rt, "gf", args) == expected
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("keyword", [False, True], ids=["positional", "keyword"])
+    def test_builtin_errors(self, rt, n, keyword):
+        """A builtin gets exactly the script's arguments: the error is the
+        one its function raises called with them directly."""
+        from repro.lang.builtins import b_nth
+
+        values = list(range(1, n + 1))
+        args = ", ".join(map(str, values)) + (", k = 9" if n else "k = 9") * keyword
+        try:
+            b_nth(*values, **({"k": 9} if keyword else {}))
+        except Exception as err:  # noqa: BLE001
+            expected = f"{type(err).__name__}: {err}"
+        assert self._call(rt, "nth", args) == expected
+
+    def test_a_repeated_parameter_name_is_a_duplicate_definition(self, rt):
+        for params, args in (("a, a", "1, 2"), ("a, b, a", "1, 2, 3"), ("a, b, c, a", "1, 2, 3, 4")):
+            f = run_fn(rt, "provide f : {x : is_num} -> any;\n"
+                           f"g = fun({params}) {{ a; }}\nf = fun(x) {{ g({args}); }}\n")
+            with pytest.raises(ShillRuntimeError,
+                               match="^duplicate definition of 'a' "
+                                     r"\(SHILL has no mutable variables\)$"):
+                rt.call(f, 1)
+
+    def test_a_non_boolean_condition_keeps_its_error(self, rt):
+        f = run_fn(rt, "provide f : {x : is_num} -> any;\nf = fun(x) { if x then 1 else 2; }\n")
+        with pytest.raises(ShillRuntimeError, match="^condition must be a boolean, got 1$"):
+            rt.call(f, 1)

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ShillSyntaxError
 from repro.lang import ast_ as A
 from repro.lang.lexer import lex
-from repro.lang.parser import check_ambient_restrictions, parse_source
+from repro.lang.parser import MAX_NESTING, check_ambient_restrictions, parse_source
 from repro.lang.tokens import T
 
 
@@ -110,6 +110,50 @@ class TestParserExpressions:
     def test_nested_call(self):
         expr = self._expr("f(g(x))(y)")
         assert isinstance(expr, A.Call) and isinstance(expr.fn, A.Call)
+
+
+class TestNesting:
+    """Nesting is bounded by a fixed count (``MAX_NESTING``), not by the
+    Python stack: past it a script is a syntax error at the opening token
+    of the construct that crosses the limit.  A statement's expression is
+    one level, and so is each parenthesis, list, prefix operator, block,
+    ``if`` and contract inside it (an ``if`` at the limit fails at its
+    condition, the expression inside it)."""
+
+    @pytest.mark.parametrize("source, where", [
+        ("x = " + "(" * 150 + "1" + ")" * 150 + ";", (2, 69)),
+        ("x = " + "!" * 150 + "true;", (2, 68)),
+        ("x = " + "[" * 150 + "1" + "]" * 150 + ";", (2, 69)),
+        ("{" * 150 + "1;" + "}" * 150, (2, 65)),
+        ("x = " + "-" * 150 + "1;", (2, 68)),
+        ("provide f : " + "(" * 150 + "is_num" + ")" * 150 + ";", (2, 77)),
+        ("if true then " * 150 + "1;", (2, 63 * 13 + 4)),
+    ], ids=["paren", "not", "list", "block", "minus", "contract", "if"])
+    def test_150_levels_fail_at_their_line_and_column(self, source, where):
+        assert MAX_NESTING == 64
+        with pytest.raises(ShillSyntaxError) as excinfo:
+            parse_source("a = 1;\n" + source, "shill/cap")
+        err = excinfo.value
+        assert (err.line, err.col) == where
+        assert str(err) == f"<script>:{where[0]}:{where[1]}: nested too deeply"
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "x = " + "(" * n + "1" + ")" * n + ";",
+        lambda n: "x = " + "[" * n + "1" + "]" * n + ";",
+        lambda n: "x = " + "!" * n + "true;",
+        lambda n: "{" * n + "1;" + "}" * n,
+    ], ids=["paren", "list", "not", "block"])
+    def test_the_limit_is_exact(self, nest):
+        """The innermost expression is a level too, so 63 nested forms
+        reach the limit and 64 cross it."""
+        parse_source(nest(MAX_NESTING - 1), "shill/cap")
+        with pytest.raises(ShillSyntaxError, match="nested too deeply"):
+            parse_source(nest(MAX_NESTING), "shill/cap")
+
+    def test_the_limit_is_per_nesting_not_per_script(self):
+        """Siblings do not add up: 100 parenthesised 40-level terms parse."""
+        term = "(" * 40 + "1" + ")" * 40
+        parse_source("x = " + " + ".join([term] * 100) + ";", "shill/cap")
 
 
 class TestParserStatements:

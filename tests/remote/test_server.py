@@ -6,7 +6,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.remote.agent import AgentServer
+from repro.remote.agent import AgentServer, spawn_local_agent
 from repro.remote.wire import connect
 
 
@@ -25,3 +25,24 @@ class TestLifecycle:
         server.shutdown()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+def drain_thread(proc):
+    """The thread ``drain_stdout`` started for a spawned child."""
+    [thread] = [t for t in threading.enumerate() if t.name == f"drain-{proc.pid}"]
+    return thread
+
+
+def test_a_spawned_agents_drain_closes_its_pipe(tmp_path):
+    """The drain thread reads the child's stdout to EOF and closes it;
+    left open, the pipe lingers until garbage collection (a
+    ResourceWarning under ``python -X dev``)."""
+    proc, _addr = spawn_local_agent(tmp_path / "store")
+    try:
+        drain = drain_thread(proc)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    drain.join(timeout=10)
+    assert not drain.is_alive()
+    assert proc.stdout.closed

@@ -341,6 +341,18 @@ class TestAgentChurn:
 
 
 class TestGatewayLifecycle:
+    def test_a_spawned_gateways_drain_closes_its_pipe(self, tmp_path):
+        gw_proc, _gw = spawn_local_gateway(tmp_path / "gw")
+        try:
+            [drain] = [t for t in threading.enumerate()
+                       if t.name == f"drain-{gw_proc.pid}"]
+        finally:
+            gw_proc.kill()
+            gw_proc.wait(timeout=10)
+        drain.join(timeout=10)
+        assert not drain.is_alive()
+        assert gw_proc.stdout.closed
+
     def test_sigtermed_gateway_drains_its_inflight_job(self, tmp_path):
         """A SIGTERM'd gateway retires like an agent: the job it is
         relaying finishes and reaches the client, the gateway exits 0,
