@@ -41,28 +41,6 @@ if TYPE_CHECKING:
 SYSTEM_BLAME = "the system"
 
 
-def _language_engine(sys: "SyscallInterface"):
-    """The non-passive policy engine governing language-level privilege
-    checks on this runtime's kernel, or None (the fast path: plain
-    capability semantics, byte-identical to the pre-engine code)."""
-    engine = sys.kernel.policy_engine
-    if engine is None or engine.passive:
-        return None
-    return engine
-
-
-def _language_request(sys: "SyscallInterface", op: str, target: str, priv,
-                      held: frozenset = frozenset()):
-    return PolicyRequest(
-        domain="language",
-        operation=op,
-        target=target,
-        priv=f"+{priv.value}",
-        user=sys.proc.cred.username,
-        held=held,
-    )
-
-
 class Capability:
     """Base class for all SHILL capability values.
 
@@ -76,6 +54,29 @@ class Capability:
 
     def __deepcopy__(self, memo):
         raise CapabilitySafetyError("capabilities cannot be copied")
+
+    def _decide(self, ok: bool, priv, op: str, target: str,
+                held: frozenset = frozenset()) -> None:
+        """The ``language`` domain's one decision path, which file and
+        socket capabilities share.  ``ok`` is the capability test's
+        verdict.  The kernel-wide policy engine, if one is installed, is
+        asked first: ALLOW proceeds, DENY raises a violation blamed on
+        the engine, and a DEFER observes ``ok`` through ``post_check``
+        before ``ok`` decides."""
+        sys = self._sys
+        engine = sys.kernel.policy_engine
+        if engine is not None:
+            request = PolicyRequest(domain="language", operation=op, target=target,
+                                    priv=f"+{priv.value}", user=sys.proc.cred.username,
+                                    held=held)
+            decision = engine.pre_check(request)
+            if decision is Decision.ALLOW:
+                return
+            if decision is Decision.DENY:
+                raise self._violation(priv, op, engine.name)
+            engine.post_check(request, ok)
+        if not ok:
+            raise self._violation(priv, op, None)
 
 
 class FsCap(Capability):
@@ -120,25 +121,18 @@ class FsCap(Capability):
     # -- privilege machinery -------------------------------------------------------
 
     def _need(self, priv: Priv, op: str) -> None:
-        engine = _language_engine(self._sys)
-        if engine is not None:
-            decision = engine.pre_check(_language_request(
-                self._sys, op, self.try_path(), priv,
-                held=frozenset(f"+{p.value}" for p in self.privs)))
-            if decision is Decision.ALLOW:
-                return
-            if decision is Decision.DENY:
-                raise ContractViolation(
-                    blame=f"policy-engine:{engine.name}",
-                    contract=repr(self.privs),
-                    detail=f"operation {op!r} denied by policy engine on {self.describe()}",
-                )
-        if not self.privs.has(priv):
-            raise ContractViolation(
-                blame=self.blame,
-                contract=repr(self.privs),
-                detail=f"operation {op!r} requires +{priv.value} on {self.describe()}",
-            )
+        ok = self.privs.has(priv)
+        if ok and self._sys.kernel.mac.engine is None:
+            return  # the hot path: held, and no engine to ask
+        self._decide(ok, priv, op, self.try_path(),
+                     frozenset(f"+{p.value}" for p in self.privs))
+
+    def _violation(self, priv: Priv, op: str, engine: Optional[str]) -> ContractViolation:
+        denied = engine is not None
+        verdict = "denied by policy engine" if denied else f"requires +{priv.value}"
+        return ContractViolation(blame=f"policy-engine:{engine}" if denied else self.blame,
+                                 contract=repr(self.privs),
+                                 detail=f"operation {op!r} {verdict} on {self.describe()}")
 
     def attenuated(self, allowed: PrivSet, blame: str) -> "FsCap":
         """A proxy for this capability restricted to ``allowed`` — how
@@ -353,24 +347,14 @@ class SocketCap(Capability):
         self.perms = perms
 
     def _need(self, priv) -> None:
-        engine = _language_engine(self._sys)
-        if engine is not None:
-            decision = engine.pre_check(_language_request(
-                self._sys, f"socket-{priv.value}", "<socket>", priv))
-            if decision is Decision.ALLOW:
-                return
-            if decision is Decision.DENY:
-                raise ContractViolation(
-                    blame=f"policy-engine:{engine.name}",
-                    contract=repr(self.perms),
-                    detail=f"socket operation +{priv.value} denied by policy engine",
-                )
-        if not self.perms.has(priv):
-            raise ContractViolation(
-                blame=SYSTEM_BLAME,
-                contract=repr(self.perms),
-                detail=f"socket operation requires +{priv.value}",
-            )
+        self._decide(self.perms.has(priv), priv, f"socket-{priv.value}", "<socket>")
+
+    def _violation(self, priv, op: str, engine: Optional[str]) -> ContractViolation:
+        denied = engine is not None
+        verdict = f"+{priv.value} denied by policy engine" if denied else f"requires +{priv.value}"
+        return ContractViolation(blame=f"policy-engine:{engine}" if denied else SYSTEM_BLAME,
+                                 contract=repr(self.perms),
+                                 detail=f"socket operation {verdict}")
 
     def connect(self, host: str, port: int) -> None:
         from repro.sandbox.privileges import SockPriv

@@ -256,7 +256,7 @@ class MacFramework:
         Raises :class:`SysError` with the first non-zero errno returned.
         Restrictive composition: all policies must allow.
 
-        A non-passive kernel-wide engine is consulted first with a
+        An installed kernel-wide engine is consulted first with a
         ``mac``-domain request: ALLOW skips policy dispatch entirely,
         DENY raises before any policy runs, DEFER dispatches normally
         (and the outcome is reported to ``post_check``).  Framework-level
@@ -268,7 +268,7 @@ class MacFramework:
             self.stats.mac_checks += 1
             self.stats.mac_hooks[hook] += 1
         engine = self.engine
-        if engine is not None and not engine.passive:
+        if engine is not None:
             proc = args[0] if args else None
             user = getattr(getattr(proc, "cred", None), "username", "") or ""
             request = PolicyRequest(domain="mac", operation=hook, target="", user=user)

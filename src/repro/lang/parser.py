@@ -17,11 +17,15 @@ from repro.lang.tokens import T, Token
 _CAP_KINDS = {"file", "dir", "cap", "pipe"}
 
 #: How deeply expressions, prefix operators, blocks, conditionals and
-#: contracts may nest.  A fixed count rather than the Python stack, so a
-#: script that nests too deeply is a syntax error of its own job on every
-#: executor.  The deepest form allowed, 63 lists nested in a statement,
-#: parses and compiles in about 710 Python frames, inside the default
-#: recursion limit of 1,000.
+#: contracts may nest, and how many levels an operand may reach.  A fixed
+#: count rather than the Python stack, so a script that nests too deeply
+#: is a syntax error of its own job on every executor.  The deepest form
+#: allowed, 63 lists nested in a statement, parses and compiles in about
+#: 710 Python frames, inside the default recursion limit of 1,000.
+#: Binary operators and calls are built in loops, but each is one more
+#: level of the tree every later pass recurses down, so each is charged
+#: one level over the deepest its operands reached: a statement's chain
+#: of 63 operators parses and one of 64 does not.
 MAX_NESTING = 64
 
 #: Binary operators, loosest level first: each level's token types, and
@@ -42,6 +46,9 @@ class Parser:
         self.pos = 0
         self.filename = filename
         self.depth = 0
+        #: The deepest level the operand being parsed has reached: its
+        #: nesting, plus the charges of its operators and calls.
+        self.reached = 0
 
     # -- token plumbing -----------------------------------------------------------
 
@@ -82,6 +89,16 @@ class Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error("nested too deeply")
+        if self.depth > self.reached:
+            self.reached = self.depth
+
+    def _charge(self, tok: Token | None = None) -> None:
+        """Charge one level, at ``tok`` (else the current token), over
+        the deepest the operand reached: a binary operator over its
+        operands, a call over its callee."""
+        self.reached += 1
+        if self.reached > MAX_NESTING:
+            raise self.error("nested too deeply", tok)
 
     # -- module -------------------------------------------------------------------
 
@@ -209,10 +226,15 @@ class Parser:
     # -- expressions -------------------------------------------------------------------
 
     def parse_expr(self) -> A.Expr:
-        """One expression: one nesting level."""
+        """One expression: one nesting level, whose reach is measured
+        afresh and then joins the enclosing operand's."""
+        outer = self.reached
         self._nest()
+        self.reached = self.depth
         expr = self._parse_binary(0)
         self.depth -= 1
+        if outer > self.reached:
+            self.reached = outer
         return expr
 
     def _parse_binary(self, level: int) -> A.Expr:
@@ -222,8 +244,14 @@ class Parser:
         ops, chains = _BINARY[level]
         left = self._parse_binary(level + 1)
         while self.peek().type in ops:
-            op = self.advance().value
-            left = A.BinOp(op, left, self._parse_binary(level + 1), span=left.span)
+            tok = self.advance()
+            reached = self.reached
+            self.reached = self.depth
+            right = self._parse_binary(level + 1)
+            if reached > self.reached:
+                self.reached = reached
+            self._charge(tok)
+            left = A.BinOp(tok.value, left, right, span=left.span)
             if not chains:
                 break
         return left
@@ -242,6 +270,7 @@ class Parser:
     def parse_postfix(self) -> A.Expr:
         expr = self.parse_primary()
         while self.at(T.LPAREN):
+            self._charge()
             args, kwargs = self.parse_call_args()
             expr = A.Call(expr, tuple(args), tuple(kwargs), span=expr.span)
         return expr

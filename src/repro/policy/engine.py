@@ -20,24 +20,35 @@ hard-wired code: same audit lines, same op counts, same fingerprints.
 
 Decision sites and their request *domains*:
 
-===========  ==============================================  ==========
-domain       decision site                                    denial
-===========  ==============================================  ==========
-``vnode``    :meth:`ShillPolicy._require` on a vnode          audited
-``pipe``     :meth:`ShillPolicy._require` on a pipe           audited
-``socket``   :meth:`ShillPolicy._require_sock`                audited
-``system``   :meth:`ShillPolicy._deny_sandboxed` (Figure 7)   audited
+============  ==============================================  ==========
+domain        decision site                                   denial
+============  ==============================================  ==========
+``vnode``     :class:`ShillPolicy` vnode hooks                audited
+``pipe``      :class:`ShillPolicy` pipe read/write/stat hooks audited
+``socket``    :class:`ShillPolicy` socket hooks               audited
+``proc``      :class:`ShillPolicy` signal/wait/debug hooks    audited
+``system``    :class:`ShillPolicy` sysctl/kenv/kld/IPC hooks  audited
+              (Figure 7)
 ``language``  capability-value privilege checks               contract
-             (:class:`repro.capability.caps.FsCap`)           violation
-``mac``      :meth:`repro.kernel.mac.MacFramework.check`      raw errno
-             (raw framework hooks, *no* session context)
-===========  ==============================================  ==========
+              (:mod:`repro.capability.caps`)                  violation
+``mac``       :meth:`repro.kernel.mac.MacFramework.check`     raw errno
+              (raw framework hooks, *no* session context)
+============  ==============================================  ==========
+
+The five sandbox domains reach one decision function,
+``ShillPolicy._decide`` (:mod:`repro.sandbox.policy`); the file and
+socket capabilities of the language share one method; the framework
+has its one site.
 
 Engines are consulted through two hooks (the pre/post shape of the
 snippet-idiom Policy ABC): :meth:`PolicyEngine.pre_check` decides,
-:meth:`PolicyEngine.post_check` observes the final outcome.  Every
-non-DEFER decision is retained as a :class:`DecisionRecord` on the
-engine (``engine.records``) for inspection — the approval/audit trail.
+:meth:`PolicyEngine.post_check` observes the final outcome.  An engine
+is consulted if and only if one is installed; each domain has one
+decision path, and on it a DEFER reaches ``post_check`` exactly once
+with the final outcome (after any debug-mode auto-grant), while ALLOW
+and DENY never do.  Every non-DEFER decision is retained as a
+:class:`DecisionRecord` on the engine (``engine.records``) for
+inspection — the approval/audit trail.
 
 Engine placement: a kernel-wide engine lives at
 ``kernel.policy_engine`` (declaratively: :meth:`repro.api.World.
@@ -110,21 +121,13 @@ class PolicyEngine:
     base is the identity engine, exactly like
     :class:`repro.kernel.mac.MacPolicy`'s every-hook-allows base.
 
-    Two attributes shape how check sites treat an engine:
-
-    * ``passive`` — ``True`` promises :meth:`pre_check` always defers
-      and :meth:`post_check` is a no-op, letting the hot path skip
-      request construction entirely (target descriptions cost a VFS
-      name-cache walk).  Any engine that decides or observes must set
-      it ``False``.
-    * ``mutations`` — bump whenever the engine's *future decisions*
-      may differ (rule edits, default flips).  The syscall layer folds
-      it into the resolved-path dcache stamp so cached walks are
-      re-judged after an engine change.
+    ``mutations`` is bumped whenever the engine's *future decisions* may
+    differ (rule edits, default flips).  The syscall layer folds it into
+    the resolved-path dcache stamp so cached walks are re-judged after
+    an engine change.
     """
 
     name = "policy-engine"
-    passive = True
 
     def __init__(self) -> None:
         self.records: list[DecisionRecord] = []
@@ -134,12 +137,13 @@ class PolicyEngine:
 
     def pre_check(self, request: PolicyRequest) -> Decision:
         """Decide ``request``; DEFER falls through to capability
-        semantics.  Called only on non-passive engines."""
+        semantics."""
         return Decision.DEFER
 
     def post_check(self, request: PolicyRequest, allowed: bool) -> None:
-        """Observe the final outcome (after capability semantics ran,
-        when the engine deferred).  Called only on non-passive engines."""
+        """Observe the final outcome of a request this engine deferred,
+        once, after capability semantics (and any debug auto-grant)
+        ran.  Never called for an ALLOW or a DENY."""
 
     # -- plumbing ----------------------------------------------------------
 
@@ -160,10 +164,6 @@ class PolicyEngine:
         keep the worlds that install them boot-cacheable."""
         return None
 
-    def describe(self) -> dict:
-        """A JSON-serializable snapshot, for logs and wire frames."""
-        return {"engine": self.name, "passive": self.passive}
-
     def __getstate__(self) -> dict:
         # The decision trail is runtime observability, like the dcache:
         # it never crosses a snapshot (equal machines must produce equal
@@ -178,8 +178,9 @@ class PolicyEngine:
 
 class CapabilityEngine(PolicyEngine):
     """The explicit spelling of the default: defer every request to the
-    SHILL capability semantics.  Installing it changes nothing — it
-    exists so "no engine" has a value and a name.
+    SHILL capability semantics.  Installing it changes no outcome, audit
+    line or op count (an installed engine is asked, so it costs the
+    requests) — it exists so "no engine" has a value and a name.
 
     Example::
 
@@ -191,7 +192,6 @@ class CapabilityEngine(PolicyEngine):
     """
 
     name = "capability"
-    passive = True
 
     def digest(self) -> str:
         return "capability"

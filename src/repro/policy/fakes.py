@@ -40,7 +40,6 @@ class FakePolicyEngine(PolicyEngine):
     """
 
     name = "fake"
-    passive = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -125,14 +124,6 @@ class FakePolicyEngine(PolicyEngine):
             if (domain is None or r.domain == domain)
             and (operation is None or r.operation == operation)
         ]
-
-    def describe(self) -> dict:
-        return {
-            "engine": self.name,
-            "passive": self.passive,
-            "overrides": len(self._overrides),
-            "default": self._default.value,
-        }
 
     def __getstate__(self) -> dict:
         state = super().__getstate__()

@@ -158,7 +158,6 @@ class RuleEngine(PolicyEngine):
     """
 
     name = "rules"
-    passive = False
 
     def __init__(self, rules: Iterable[dict] = (), default: str = "defer",
                  name: Optional[str] = None) -> None:
@@ -238,15 +237,6 @@ class RuleEngine(PolicyEngine):
     def digest(self) -> str:
         canonical = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def describe(self) -> dict:
-        return {
-            "engine": self.name,
-            "passive": self.passive,
-            "default": self.default,
-            "rules": len(self.rules),
-            "digest": self.digest()[:16],
-        }
 
     def __repr__(self) -> str:
         return (

@@ -241,7 +241,7 @@ def serve(argv: "list[str] | None" = None) -> int:
 def spawn_local_agent(store: "Path | str", *, host: str = "127.0.0.1",
                       port: int = 0,
                       chaos_exit_on: "str | None" = None,
-                      announce: "str | None" = None, timeout: float = 30.0,
+                      announce: "str | None" = None,
                       ) -> "tuple[subprocess.Popen, str]":
     """Spawn one agent subprocess; returns ``(process, "host:port")``.
 
@@ -253,40 +253,43 @@ def spawn_local_agent(store: "Path | str", *, host: str = "127.0.0.1",
     Passing an explicit ``port`` re-binds a known address — how a
     "restarted" agent reclaims its old identity in rejoin tests.
     """
+    args = ["--store", str(store), "--host", host, "--port", str(port)]
+    if chaos_exit_on:
+        args += ["--chaos-exit-on", chaos_exit_on]
+    if announce:
+        args += ["--announce", announce]
+    return _spawn("agent", "agent", args)
+
+
+def _spawn(command: str, role: str, args: "list[str]",
+           ) -> "tuple[subprocess.Popen, str]":
+    """Run ``python -m repro <command> <args>`` with this ``src`` on
+    ``PYTHONPATH`` and wait for its ``<ROLE> LISTENING`` readiness line;
+    returns ``(process, "host:port")`` from the line's ``key=value``
+    pairs.  A child that prints anything else first, or exits (EOF), is
+    killed and reported with its exit status.  The rest of its stdout is
+    read to EOF on a daemon thread named ``drain-<pid>``, so a chatty
+    child never blocks on a full pipe, and the pipe is closed at EOF."""
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    cmd = [sys.executable, "-m", "repro", "agent",
-           "--store", str(store), "--host", host, "--port", str(port)]
-    if chaos_exit_on:
-        cmd += ["--chaos-exit-on", chaos_exit_on]
-    if announce:
-        cmd += ["--announce", announce]
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen([sys.executable, "-m", "repro", command, *args],
+                            env=env, stdout=subprocess.PIPE, text=True)
     assert proc.stdout is not None
-    # The announce line is the readiness barrier; a crash-on-boot agent
-    # hits EOF instead and is reported with its exit status.
     line = proc.stdout.readline()
-    if "AGENT LISTENING" not in line:
+    if f"{role.upper()} LISTENING" not in line:
         proc.kill()
-        raise RuntimeError(f"agent failed to start (exit {proc.poll()}): {line!r}")
+        proc.stdout.close()
+        raise RuntimeError(f"{role} failed to start (exit {proc.wait()}): {line!r}")
     parts = dict(item.split("=", 1) for item in line.split()[2:])
-    drain_stdout(proc)
-    return proc, f"{parts['host']}:{parts['port']}"
 
-
-def drain_stdout(proc: "subprocess.Popen") -> threading.Thread:
-    """Read a spawned child's stdout to EOF on a daemon thread named
-    ``drain-<pid>``, so a chatty child never blocks on a full pipe, and
-    close the pipe at EOF (the child has exited or closed it)."""
     def drain() -> None:
         with proc.stdout:
             proc.stdout.read()
 
-    thread = threading.Thread(target=drain, name=f"drain-{proc.pid}", daemon=True)
-    thread.start()
-    return thread
+    threading.Thread(target=drain, name=f"drain-{proc.pid}", daemon=True).start()
+    return proc, f"{parts['host']}:{parts['port']}"
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via `-m repro agent`

@@ -2,10 +2,12 @@
 
 This is the reproduction of the paper's FreeBSD kernel module: "The SHILL
 sandbox is implemented as a policy module for the TrustedBSD MAC
-Framework" (section 3.2).  Every hook follows the same scheme:
+Framework" (section 3.2).  Every hook follows the same scheme, written
+once in :meth:`ShillPolicy._decide`:
 
 * find the subject's nearest **entered** session — processes outside any
   entered session are not sandboxed and every check passes;
+* ask the installed **policy engine**, if any (:mod:`repro.policy`);
 * consult the object's **privilege map** for that session;
 * allow iff the session holds the privilege the operation maps to, else
   return ``EACCES`` ("the system call aborts with an error but the
@@ -38,7 +40,7 @@ from repro.kernel.mac import MacPolicy
 from repro.kernel.sockets import AddressFamily
 from repro.kernel.vfs import VType, Vnode
 from repro.policy.engine import Decision, PolicyRequest, engine_for
-from repro.sandbox.privileges import Priv, PrivSet, SockPriv
+from repro.sandbox.privileges import Priv, PrivSet, SocketPerms, SockPriv
 from repro.sandbox.privmap import privmap_of
 from repro.sandbox.session import Session, SessionManager
 
@@ -107,58 +109,70 @@ class ShillPolicy(MacPolicy):
 
         return describe_object(self.kernel, obj)
 
-    def _require(self, proc: "Process", obj: Any, priv: Priv, operation: str) -> int:
-        """Core check: does the subject's session hold ``priv`` on ``obj``?
+    def _decide(self, proc: "Process", session: Session, domain: str,
+                operation: str, target: str, priv: "Priv | SockPriv | None",
+                ok: bool, *, obj: Any = None, held: PrivSet = _EMPTY,
+                reason: str = "") -> int:
+        """The one decision every engine-consulting hook reaches.
 
-        A non-passive policy engine (per-session, else kernel-wide) is
-        consulted first: ALLOW overrides a would-be denial (audited as
-        ``engine-allow``), DENY revokes the operation (audited as a
-        normal denial with engine attribution), DEFER falls through to
-        the privilege map — the unmodified capability semantics.
+        ``ok`` is the capability test's verdict.  The policy engine, if
+        one is installed (the session's, else the kernel's), is asked
+        first: ALLOW proceeds (audited as ``engine-allow`` when ``ok``
+        is false), DENY is an audited denial naming the engine.  Then
+        the capability test decides; a session in debug mode is
+        auto-granted a missing ``priv`` (on ``obj``, or the socket
+        factory when there is none; a hook with no ``priv`` is never
+        auto-granted); the rest is an audited denial, detailed by
+        ``reason`` or else by ``priv``.  A deferring engine observes
+        the final outcome through ``post_check``, once.
         """
+        engine = engine_for(session, self.kernel)
+        request = None
+        if engine is not None:
+            name = f"+{priv.value}" if priv is not None else ""
+            request = PolicyRequest(
+                domain=domain, operation=operation, target=target, priv=name,
+                sid=session.sid, user=proc.cred.username,
+                held=frozenset(f"+{p.value}" for p in held))
+            decision = engine.pre_check(request)
+            if decision is Decision.ALLOW:
+                if not ok:
+                    session.log.engine_allow(session.sid, operation, target,
+                                             f"{name} allowed by {engine.name}".lstrip())
+                return 0
+            if decision is Decision.DENY:
+                session.log.deny(session.sid, operation, target,
+                                 f"{name} (denied by {engine.name})".lstrip())
+                return errno_.EACCES
+        if not ok and session.debug and priv is not None:
+            if obj is None:
+                session.socket_perms = SocketPerms.full()
+            else:
+                self.sessions.merge_privs(session, obj, PrivSet.of(priv))
+            session.log.auto_grant(session.sid, operation, target, priv)
+            ok = True
+        if request is not None:
+            engine.post_check(request, ok)
+        if ok:
+            return 0
+        session.log.deny(session.sid, operation, target, reason or priv)
+        return errno_.EACCES
+
+    def _require(self, proc: "Process", obj: Any, priv: Priv, operation: str) -> int:
+        """Does the subject's session hold ``priv`` on ``obj``?  The hot
+        path — held, and no engine installed — returns before any
+        request is built."""
         session = self._effective_session(proc)
         if session is None:
             return 0
         pm = privmap_of(obj)
         privs = pm.privs_for(session.sid) if pm is not None else _EMPTY
         held = privs.mask & priv.bit
-        engine = engine_for(session, self.kernel)
-        request = None
-        if engine is not None and not engine.passive:
-            request = PolicyRequest(
-                domain="vnode" if isinstance(obj, Vnode) else "pipe",
-                operation=operation,
-                target=self._describe(obj),
-                priv=f"+{priv.value}",
-                sid=session.sid,
-                user=proc.cred.username,
-                held=frozenset(f"+{p.value}" for p in privs),
-            )
-            decision = engine.pre_check(request)
-            if decision is Decision.ALLOW:
-                if not held:
-                    session.log.engine_allow(
-                        session.sid, operation, request.target,
-                        f"+{priv.value} allowed by {engine.name}")
-                return 0
-            if decision is Decision.DENY:
-                session.log.deny(session.sid, operation, request.target,
-                                 f"+{priv.value} (denied by {engine.name})")
-                return errno_.EACCES
-        if held:
-            if request is not None:
-                engine.post_check(request, True)
+        if held and session.engine is None and self.kernel.mac.engine is None:
             return 0
-        if session.debug:
-            self.sessions.merge_privs(session, obj, PrivSet.of(priv))
-            session.log.auto_grant(session.sid, operation, self._describe(obj), priv)
-            if request is not None:
-                engine.post_check(request, True)
-            return 0
-        session.log.deny(session.sid, operation, self._describe(obj), priv)
-        if request is not None:
-            engine.post_check(request, False)
-        return errno_.EACCES
+        return self._decide(proc, session, "vnode" if isinstance(obj, Vnode) else "pipe",
+                            operation, self._describe(obj), priv, held != 0,
+                            obj=obj, held=privs)
 
     def _require_all(self, proc: "Process", obj: Any, privs: tuple[Priv, ...], operation: str) -> int:
         for priv in privs:
@@ -174,21 +188,8 @@ class ShillPolicy(MacPolicy):
         # These operations are not capability-gated: they are denied in
         # every sandbox (Figure 7), so debug mode does not auto-grant.
         # Only an explicit engine ALLOW can override the blanket denial.
-        engine = engine_for(session, self.kernel)
-        if engine is not None and not engine.passive:
-            request = PolicyRequest(domain="system", operation=operation,
-                                    target=target, sid=session.sid,
-                                    user=proc.cred.username)
-            decision = engine.pre_check(request)
-            if decision is Decision.ALLOW:
-                session.log.engine_allow(
-                    session.sid, operation, target,
-                    f"allowed by {engine.name} (denied in sandboxes by default)")
-                return 0
-            # DENY and DEFER converge here: the sandbox denies anyway.
-            engine.post_check(request, False)
-        session.log.deny(session.sid, operation, target, "(denied in sandboxes)")
-        return errno_.EACCES
+        return self._decide(proc, session, "system", operation, target, None, False,
+                            reason="(denied in sandboxes)")
 
     # ------------------------------------------------------------------
     # vnode checks
@@ -353,37 +354,8 @@ class ShillPolicy(MacPolicy):
         if session is None:
             return 0
         perms = session.socket_perms
-        engine = engine_for(session, self.kernel)
-        request = None
-        if engine is not None and not engine.passive:
-            request = PolicyRequest(domain="socket", operation=operation,
-                                    target="<socket>", priv=f"+{priv.value}",
-                                    sid=session.sid, user=proc.cred.username)
-            decision = engine.pre_check(request)
-            if decision is Decision.ALLOW:
-                if perms is None or not perms.has(priv):
-                    session.log.engine_allow(
-                        session.sid, operation, "<socket>",
-                        f"+{priv.value} allowed by {engine.name}")
-                return 0
-            if decision is Decision.DENY:
-                session.log.deny(session.sid, operation, "<socket>",
-                                 f"+{priv.value} (denied by {engine.name})")
-                return errno_.EACCES
-        if perms is not None and perms.has(priv):
-            if request is not None:
-                engine.post_check(request, True)
-            return 0
-        if request is not None:
-            engine.post_check(request, session.debug)
-        if session.debug:
-            from repro.sandbox.privileges import SocketPerms
-
-            session.socket_perms = SocketPerms.full()
-            session.log.auto_grant(session.sid, operation, "<socket>", f"+{priv.value}")
-            return 0
-        session.log.deny(session.sid, operation, "<socket>", f"+{priv.value}")
-        return errno_.EACCES
+        return self._decide(proc, session, "socket", operation, "<socket>", priv,
+                            perms is not None and perms.has(priv))
 
     def socket_check_create(self, proc: "Process", domain: int, stype: int) -> int:
         session = self._effective_session(proc)
@@ -433,26 +405,8 @@ class ShillPolicy(MacPolicy):
             return 0
         target_session = target.session
         ok = target_session is not None and target_session.is_descendant_of(session)
-        engine = engine_for(session, self.kernel)
-        if engine is not None and not engine.passive:
-            request = PolicyRequest(domain="proc", operation=operation,
-                                    target=f"<pid {target.pid}>",
-                                    sid=session.sid, user=proc.cred.username)
-            decision = engine.pre_check(request)
-            if decision is Decision.ALLOW:
-                if not ok:
-                    session.log.engine_allow(session.sid, operation, request.target,
-                                             f"allowed by {engine.name}")
-                return 0
-            if decision is Decision.DENY:
-                session.log.deny(session.sid, operation, request.target,
-                                 f"(denied by {engine.name})")
-                return errno_.EACCES
-            engine.post_check(request, ok)
-        if ok:
-            return 0
-        session.log.deny(session.sid, operation, f"<pid {target.pid}>", "(outside session)")
-        return errno_.EACCES
+        return self._decide(proc, session, "proc", operation, f"<pid {target.pid}>", None, ok,
+                            reason="(outside session)")
 
     def proc_check_signal(self, proc: "Process", target: "Process", signum: int) -> int:
         return self._check_proc_interaction(proc, target, "signal")

@@ -12,12 +12,10 @@ agents.
 
 from __future__ import annotations
 
-import os
 import subprocess
-import sys
 from pathlib import Path
 
-from repro.remote.agent import drain_stdout
+from repro.remote.agent import _spawn
 
 
 def spawn_local_gateway(store: "Path | str", *, host: str = "127.0.0.1",
@@ -38,34 +36,18 @@ def spawn_local_gateway(store: "Path | str", *, host: str = "127.0.0.1",
     the process (``proc.kill()``, or ``proc.terminate()`` for a clean
     stop).
     """
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    cmd = [sys.executable, "-m", "repro", "serve",
-           "--store", str(store), "--host", host, "--port", "0",
-           "--concurrency", str(concurrency)]
+    args = ["--store", str(store), "--host", host, "--port", "0",
+            "--concurrency", str(concurrency)]
     if policy:
-        cmd += ["--policy", policy]
+        args += ["--policy", policy]
     if rate is not None:
-        cmd += ["--rate", str(rate)]
+        args += ["--rate", str(rate)]
     if burst is not None:
-        cmd += ["--burst", str(burst)]
+        args += ["--burst", str(burst)]
     if max_pending is not None:
-        cmd += ["--max-pending", str(max_pending)]
+        args += ["--max-pending", str(max_pending)]
     if request_log is not None:
-        cmd += ["--request-log", str(request_log)]
+        args += ["--request-log", str(request_log)]
     if result_cache is not None:
-        cmd += ["--result-cache", str(result_cache)]
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
-    assert proc.stdout is not None
-    # The readiness line is the startup barrier; a crash-on-boot gateway
-    # hits EOF instead and is reported with its exit status.
-    line = proc.stdout.readline()
-    if "GATEWAY LISTENING" not in line:
-        proc.kill()
-        raise RuntimeError(
-            f"gateway failed to start (exit {proc.poll()}): {line!r}")
-    parts = dict(item.split("=", 1) for item in line.split()[2:])
-    drain_stdout(proc)
-    return proc, f"{parts['host']}:{parts['port']}"
+        args += ["--result-cache", str(result_cache)]
+    return _spawn("serve", "gateway", args)

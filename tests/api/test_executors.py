@@ -205,6 +205,39 @@ class TestEquivalence:
         for result in sequential[3:6] + sequential[7:]:
             assert result.status == 1 and "nested too deeply" in result.stderr
 
+    def test_operator_chains_run_and_fail_alike_on_sequential_thread_and_store(self, tmp_path):
+        """63 operators run.  3,000 operators, and chains stacked down the
+        left spine of parenthesised operands (``E(p) = "(" E(p+1) ")"``
+        then ``T - p - 2`` times ``+1``), are a syntax error of their own
+        job at the same place on every executor; the other job returns."""
+        def stacked(t, p=0):
+            if p >= t - 1:
+                return "1"
+            return "(" + stacked(t, p + 1) + ")" + "+1" * (t - p - 2)
+
+        exprs = ["+".join(["1"] * 64), "+".join(["1"] * 3000), stacked(40), stacked(64)]
+        sources = [f"#lang shill/ambient\nx = {expr};\n"
+                   "append(stdout, to_string(x) + \"\\n\");\n" for expr in exprs]
+
+        def run(executor):
+            clear_result_cache()
+            batch = Batch(_jpeg_world(), cache=False)
+            for source in sources + [HELLO_AMBIENT]:
+                batch.add(source)
+            with executor:
+                return batch.run(executor=executor)
+
+        sequential = run(SequentialExecutor())
+        for executor in (ThreadExecutor(workers=2),
+                         StoreExecutor(store=SnapshotStore(tmp_path / "store"), workers=2)):
+            assert [r.fingerprint() for r in run(executor)] == \
+                [r.fingerprint() for r in sequential], executor.name
+        assert sequential[0].stdout == "64\n"
+        for result, where in zip(sequential[1:4], ("2:132", "2:101", "2:71")):
+            assert result.status == 1
+            assert f"<batch>:{where}: nested too deeply" in result.stderr
+        assert sequential[4].stdout == "hello\n"
+
 
 LOCAL_EXECUTORS = (SequentialExecutor, ThreadExecutor, ProcessExecutor)
 LOCAL_IDS = [make.name for make in LOCAL_EXECUTORS]

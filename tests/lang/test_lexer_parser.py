@@ -151,9 +151,75 @@ class TestNesting:
             parse_source(nest(MAX_NESTING), "shill/cap")
 
     def test_the_limit_is_per_nesting_not_per_script(self):
-        """Siblings do not add up: 100 parenthesised 40-level terms parse."""
+        """Siblings do not add up: 100 parenthesised 40-level terms parse
+        as the items of one list, and 24 as one sum, whose 23 operators
+        are each one level over the deepest term (41 + 23 = 64)."""
         term = "(" * 40 + "1" + ")" * 40
-        parse_source("x = " + " + ".join([term] * 100) + ";", "shill/cap")
+        parse_source("x = [" + ", ".join([term] * 100) + "];", "shill/cap")
+        parse_source("x = " + " + ".join([term] * 24) + ";", "shill/cap")
+        with pytest.raises(ShillSyntaxError, match="nested too deeply"):
+            parse_source("x = " + " + ".join([term] * 25) + ";", "shill/cap")
+
+
+def stacked_chain(t: int, p: int = 0) -> str:
+    """``E(p) = "(" E(p+1) ")" + "+1" * (t - p - 2)``: every parenthesised
+    leftmost operand carries a chain of its own, so the chains stack down
+    the left spine of the tree although none is long."""
+    if p >= t - 1:
+        return "1"
+    return "(" + stacked_chain(t, p + 1) + ")" + "+1" * (t - p - 2)
+
+
+def right_chain(levels: int) -> str:
+    """``1+(`` R ``)+1``: the chains stack down right operands instead."""
+    return "1" if levels == 0 else "1+(" + right_chain(levels - 1) + ")+1"
+
+
+class TestChains:
+    """Binary operators and calls are parsed in loops but nest the tree
+    one level each, so each is charged one level over the deepest its
+    operands (or its callee) reached: a chain that would make a later
+    pass recurse past the limit is a syntax error at the operator that
+    crosses it, whatever the Python stack of the thread parsing it."""
+
+    @pytest.mark.parametrize("source, where", [
+        ("x = " + "+".join(["1"] * 3000) + ";", (2, 132)),
+        ("x = " + stacked_chain(20) + ";", (2, 123)),
+        ("x = " + stacked_chain(40) + ";", (2, 101)),
+        ("x = " + stacked_chain(64) + ";", (2, 71)),
+        ("x = " + right_chain(40) + ";", (2, 160)),
+        ("x = f" + "()" * 3000 + ";", (2, 132)),
+    ], ids=["flat-3000", "stacked-20", "stacked-40", "stacked-64", "right-40", "calls-3000"])
+    def test_long_chains_fail_at_their_line_and_column(self, source, where):
+        with pytest.raises(ShillSyntaxError) as excinfo:
+            parse_source("a = 1;\n" + source, "shill/cap")
+        err = excinfo.value
+        assert (err.line, err.col) == where
+        assert str(err) == f"<script>:{where[0]}:{where[1]}: nested too deeply"
+
+    @pytest.mark.parametrize("chain", [
+        lambda n: "x = " + "+".join(["1"] * (n + 1)) + ";",
+        lambda n: "x = " + " && ".join(["true"] * (n + 1)) + ";",
+        lambda n: "x = f" + "()" * n + ";",
+    ], ids=["plus", "and", "calls"])
+    def test_the_chain_limit_is_exact(self, chain):
+        """A statement's expression is one level, so 63 operators (or
+        calls) reach the limit and 64 cross it."""
+        parse_source(chain(MAX_NESTING - 1), "shill/cap")
+        with pytest.raises(ShillSyntaxError, match="nested too deeply"):
+            parse_source(chain(MAX_NESTING), "shill/cap")
+
+    def test_the_shipped_scripts_still_parse(self):
+        """Their longest chain is 5 operators."""
+        from repro.analysis.corpus import shipped_corpus
+        from repro.casestudies import vcs
+        from repro.lang.modules import read_lang
+
+        scripts = [*(s for suite in shipped_corpus().values() for s in suite.values()),
+                   vcs.VCS_CAP_SCRIPT, vcs.STATUS_AMBIENT, vcs.COMMIT_AMBIENT,
+                   vcs.LOG_AMBIENT, vcs.PROBE_AMBIENT]
+        for source in scripts:
+            parse_source(*reversed(read_lang(source)))
 
 
 class TestParserStatements:

@@ -28,12 +28,6 @@ class TestProtocol:
         assert engine.pre_check(_req(domain="mac", sid=0)) is Decision.DEFER
         assert engine.records == []
 
-    def test_base_engine_is_passive(self):
-        """The passive flag is the hot path's license to skip request
-        construction entirely — the base must keep it."""
-        assert PolicyEngine.passive is True
-        assert CapabilityEngine.passive is True
-
     def test_capability_engine_is_digestible(self):
         """The explicit no-op spelling must not cost a world its boot
         cache."""

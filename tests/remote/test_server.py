@@ -6,6 +6,8 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.remote.agent import AgentServer, spawn_local_agent
 from repro.remote.wire import connect
 
@@ -28,9 +30,19 @@ class TestLifecycle:
 
 
 def drain_thread(proc):
-    """The thread ``drain_stdout`` started for a spawned child."""
+    """The thread that drains a spawned child's stdout."""
     [thread] = [t for t in threading.enumerate() if t.name == f"drain-{proc.pid}"]
     return thread
+
+
+def test_an_agent_that_cannot_start_is_reaped_and_reported(tmp_path):
+    """No readiness line (the store path runs through a file): the child
+    is killed and reaped, and the error carries its exit status (1, or
+    -9 if the kill lands before the exit completes), not None."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(RuntimeError, match=r"agent failed to start \(exit (1|-9)\): ''"):
+        spawn_local_agent(blocker / "store")
 
 
 def test_a_spawned_agents_drain_closes_its_pipe(tmp_path):
