@@ -440,12 +440,7 @@ class Kernel:
             raise SysError(errno_.EACCES, "exec of non-file")
         if not dac_check(sys.proc.cred, mode=vp.mode, uid=vp.uid, gid=vp.gid, want=X_OK):
             raise SysError(errno_.EACCES, "dac: exec")
-        self.mac.check("vnode_check_exec", sys.proc, vp)
-        # exec bypasses SyscallInterface._mac, so record its touch here.
-        try:
-            self._touched.append(("execute", self.vfs.path_of(vp)))
-        except SysError:
-            self._touched.append(("execute", "<detached>"))
+        sys._mac("vnode_check_exec", vp)
 
     def _hydrate_image(self, vp: Vnode) -> None:
         """Derive (program, needed) from a pseudo-ELF header in the file

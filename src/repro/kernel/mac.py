@@ -5,10 +5,16 @@ that the paper builds on: the kernel "mediat[es] access to sensitive
 kernel objects and invok[es] access control checks specified by
 third-party policy modules", and offers label storage on kernel objects.
 
-Policies subclass :class:`MacPolicy` and override the hooks they care
-about.  Every ``check_*`` hook returns ``0`` to allow or an errno to deny;
-the framework denies if *any* registered policy denies (restrictive
-composition, as in TrustedBSD).  ``post_*`` hooks are notifications fired
+Policies subclass :class:`MacPolicy` and define only the hooks they
+enforce; :data:`HOOKS` lists every hook the kernel calls.  As TrustedBSD
+skips the ``mac_policy_ops`` entries a policy leaves NULL, the framework
+skips a hook a policy does not define, so a hook no policy defines
+passes.  While a policy is registered, a name outside :data:`HOOKS`
+raises :class:`AttributeError`, so a misspelt call site cannot pass.
+
+Every ``check`` hook returns ``0`` to allow or an errno to deny; the
+framework denies if *any* registered policy denies (restrictive
+composition, as in TrustedBSD).  ``post`` hooks are notifications fired
 after an operation succeeds — the paper *adds two of these*
 (``mac_vnode_post_lookup`` and ``mac_vnode_post_create``) so the SHILL
 policy can propagate privileges to derived objects (section 3.2.2).
@@ -26,19 +32,36 @@ works around (section 3.2.3):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any, Callable
 
 from repro.errors import SysError
 from repro.kernel import errno_
 from repro.policy.engine import Decision, PolicyEngine, PolicyRequest
 
-if TYPE_CHECKING:
-    from repro.kernel.proc import Process
-    from repro.kernel.vfs import Vnode
+
+#: Every hook the kernel calls: the syscall layer, ``Kernel.exec_file`` and
+#: the sysctl, kenv/kld and IPC subsystems.  A check hook gets the subject
+#: process and its call site's arguments and returns 0 or an errno; a post
+#: hook is a notification.  :class:`repro.sandbox.policy.ShillPolicy`
+#: defines every one, and its signatures are the reference.
+HOOKS = frozenset({
+    "vnode_check_lookup", "vnode_check_open", "vnode_check_read", "vnode_check_write",
+    "vnode_check_create", "vnode_check_unlink", "vnode_check_rename_from", "vnode_check_rename_to",
+    "vnode_check_link", "vnode_check_stat", "vnode_check_readdir", "vnode_check_readlink",
+    "vnode_check_exec", "vnode_check_setmode", "vnode_check_setowner", "vnode_check_setutimes",
+    "vnode_check_truncate", "vnode_check_chdir",
+    "vnode_post_lookup", "vnode_post_create",  # the two hooks SHILL's kernel module adds
+    "pipe_check_create", "pipe_post_create", "pipe_check_read", "pipe_check_write", "pipe_check_stat",
+    "socket_check_create", "socket_check_bind", "socket_check_listen", "socket_check_accept",
+    "socket_check_connect", "socket_check_send", "socket_check_receive",
+    "proc_check_signal", "proc_check_wait", "proc_check_debug",
+    "system_check_sysctl", "kenv_check", "kld_check_load", "kld_check_unload", "ipc_check",
+})
 
 
 class MacPolicy:
-    """Base policy: every hook allows.  Override to restrict.
+    """Base policy: defines no hook, so it allows everything.  A
+    subclass defines the hooks it enforces.
 
     Subjects are :class:`~repro.kernel.proc.Process` objects (which carry
     both the credential and, for SHILL, the session).  Objects are kernel
@@ -51,147 +74,11 @@ class MacPolicy:
         """The policy instance to register on a forked kernel.
 
         The default shares ``self``, which is right for stateless
-        policies (every base hook just allows).  Policies holding
-        per-kernel state — like SHILL's session manager — override this
-        to build an isolated copy bound to the fork.
+        policies.  Policies holding per-kernel state — like SHILL's
+        session manager — override this to build an isolated copy bound
+        to the fork.
         """
         return self
-
-    # -- vnode checks -------------------------------------------------------
-
-    def vnode_check_lookup(self, proc: "Process", dvp: "Vnode", name: str) -> int:
-        return 0
-
-    def vnode_check_open(self, proc: "Process", vp: "Vnode", accmode: int) -> int:
-        return 0
-
-    def vnode_check_read(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_write(self, proc: "Process", vp: "Vnode") -> int:
-        # NB: single entry point for write AND append, per TrustedBSD.
-        return 0
-
-    def vnode_check_create(self, proc: "Process", dvp: "Vnode", name: str, vtype: Any) -> int:
-        return 0
-
-    def vnode_check_unlink(self, proc: "Process", dvp: "Vnode", vp: "Vnode", name: str) -> int:
-        return 0
-
-    def vnode_check_rename_from(self, proc: "Process", dvp: "Vnode", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_rename_to(self, proc: "Process", dvp: "Vnode", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_link(self, proc: "Process", dvp: "Vnode", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_stat(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_readdir(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_readlink(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_exec(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_setmode(self, proc: "Process", vp: "Vnode", mode: int) -> int:
-        return 0
-
-    def vnode_check_setowner(self, proc: "Process", vp: "Vnode", uid: int, gid: int) -> int:
-        return 0
-
-    def vnode_check_setutimes(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_setflags(self, proc: "Process", vp: "Vnode", flags: int) -> int:
-        return 0
-
-    def vnode_check_truncate(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    def vnode_check_chdir(self, proc: "Process", vp: "Vnode") -> int:
-        return 0
-
-    # -- vnode post hooks (added by SHILL's kernel module) -------------------
-
-    def vnode_post_lookup(self, proc: "Process", dvp: "Vnode", vp: "Vnode", name: str) -> None:
-        return None
-
-    def vnode_post_create(self, proc: "Process", dvp: "Vnode", vp: "Vnode", name: str, vtype: Any) -> None:
-        return None
-
-    # -- pipes ---------------------------------------------------------------
-
-    def pipe_check_create(self, proc: "Process") -> int:
-        return 0
-
-    def pipe_post_create(self, proc: "Process", pipe: Any) -> None:
-        return None
-
-    def pipe_check_read(self, proc: "Process", pipe: Any) -> int:
-        return 0
-
-    def pipe_check_write(self, proc: "Process", pipe: Any) -> int:
-        return 0
-
-    def pipe_check_stat(self, proc: "Process", pipe: Any) -> int:
-        return 0
-
-    # -- sockets --------------------------------------------------------------
-
-    def socket_check_create(self, proc: "Process", domain: int, stype: int) -> int:
-        return 0
-
-    def socket_check_bind(self, proc: "Process", sock: Any, addr: tuple) -> int:
-        return 0
-
-    def socket_check_listen(self, proc: "Process", sock: Any) -> int:
-        return 0
-
-    def socket_check_accept(self, proc: "Process", sock: Any) -> int:
-        return 0
-
-    def socket_check_connect(self, proc: "Process", sock: Any, addr: tuple) -> int:
-        return 0
-
-    def socket_check_send(self, proc: "Process", sock: Any) -> int:
-        return 0
-
-    def socket_check_receive(self, proc: "Process", sock: Any) -> int:
-        return 0
-
-    # -- processes -------------------------------------------------------------
-
-    def proc_check_signal(self, proc: "Process", target: "Process", signum: int) -> int:
-        return 0
-
-    def proc_check_wait(self, proc: "Process", target: "Process") -> int:
-        return 0
-
-    def proc_check_debug(self, proc: "Process", target: "Process") -> int:
-        return 0
-
-    # -- system-wide resources ---------------------------------------------------
-
-    def system_check_sysctl(self, proc: "Process", name: str, write: bool) -> int:
-        return 0
-
-    def kenv_check(self, proc: "Process", op: str, name: str) -> int:
-        return 0
-
-    def kld_check_load(self, proc: "Process", name: str) -> int:
-        return 0
-
-    def kld_check_unload(self, proc: "Process", name: str) -> int:
-        return 0
-
-    def ipc_check(self, proc: "Process", kind: str, op: str, name: str) -> int:
-        return 0
 
 
 class MacFramework:
@@ -251,7 +138,7 @@ class MacFramework:
     # -- dispatch ---------------------------------------------------------------
 
     def check(self, hook: str, *args: Any) -> None:
-        """Run ``check_``-style hook ``hook`` on every policy.
+        """Run the check hook ``hook`` on every policy that defines it.
 
         Raises :class:`SysError` with the first non-zero errno returned.
         Restrictive composition: all policies must allow.
@@ -290,15 +177,28 @@ class MacFramework:
 
     def _dispatch(self, hook: str, args: tuple) -> None:
         for policy in self._policies:
-            error = getattr(policy, hook)(*args)
+            error = (getattr(policy, hook, None) or _undefined(hook))(*args)
             if error:
                 if self.stats is not None:
                     self.stats.mac_denials += 1
                 raise SysError(error, f"mac:{policy.name}:{hook}")
 
     def post(self, hook: str, *args: Any) -> None:
-        """Fire a ``post_``-style notification hook on every policy."""
+        """Fire the notification hook ``hook`` on every policy that
+        defines it."""
         if self.stats is not None:
             self.stats.mac_hooks[hook] += 1
         for policy in self._policies:
-            getattr(policy, hook)(*args)
+            (getattr(policy, hook, None) or _undefined(hook))(*args)
+
+
+def _undefined(hook: str) -> Callable[..., int]:
+    """What a policy that leaves ``hook`` undefined runs: it allows,
+    unless no kernel call site names ``hook``."""
+    if hook not in HOOKS:
+        raise AttributeError(f"{hook!r} is not a MAC hook")
+    return _allow
+
+
+def _allow(*args: Any) -> int:
+    return 0

@@ -42,13 +42,15 @@ if TYPE_CHECKING:
 SYMLOOP_MAX = 32
 
 # Final-op MAC hooks whose first argument is the vnode (or, for the
-# namespace mutators, the parent directory) a run observably touched.
-# Traversal hooks (vnode_check_lookup) are deliberately absent: the paths
-# a walk crosses are captured by the read/readlink checks that actually
-# observe data.  SyscallInterface._mac appends (kind, path) for these to
-# Kernel._touched after the check succeeds; sessions slice that log into
-# RunResult.touched and repro.analysis.deps gates static footprints on it.
+# namespace mutators, the parent directory) a run observably touched,
+# exec's image check among them.  Traversal hooks (vnode_check_lookup)
+# are deliberately absent: the paths a walk crosses are captured by the
+# read/readlink checks that actually observe data.  SyscallInterface._mac
+# appends (kind, path) for these to Kernel._touched after the check
+# succeeds; sessions slice that log into RunResult.touched and
+# repro.analysis.deps gates static footprints on it.
 _TOUCH_HOOKS = {
+    "vnode_check_exec": "execute",
     "vnode_check_read": "read",
     "vnode_check_readdir": "read",
     "vnode_check_readlink": "read",

@@ -46,9 +46,10 @@ snippet-idiom Policy ABC): :meth:`PolicyEngine.pre_check` decides,
 is consulted if and only if one is installed; each domain has one
 decision path, and on it a DEFER reaches ``post_check`` exactly once
 with the final outcome (after any debug-mode auto-grant), while ALLOW
-and DENY never do.  Every non-DEFER decision is retained as a
-:class:`DecisionRecord` on the engine (``engine.records``) for
-inspection — the approval/audit trail.
+and DENY never do.  The newest non-DEFER decisions, up to
+:data:`DECISION_RECORDS` of them, are retained on the engine as
+:class:`DecisionRecord` objects (``engine.records``) for inspection —
+the approval/audit trail.
 
 Engine placement: a kernel-wide engine lives at
 ``kernel.policy_engine`` (declaratively: :meth:`repro.api.World.
@@ -65,6 +66,10 @@ from typing import Any, Optional
 
 #: The request domains engines can be consulted in.
 DOMAINS = ("vnode", "pipe", "socket", "proc", "system", "language", "mac")
+
+#: Decision records an engine keeps, newest last.  A record with its
+#: request takes about 1 KB, so a full trail stays near 1 MB.
+DECISION_RECORDS = 1024
 
 
 class Decision(enum.Enum):
@@ -118,8 +123,7 @@ class PolicyEngine:
 
     Subclasses override :meth:`pre_check` (and optionally
     :meth:`post_check`).  The class is deliberately *not* abstract — the
-    base is the identity engine, exactly like
-    :class:`repro.kernel.mac.MacPolicy`'s every-hook-allows base.
+    base is the identity engine.
 
     ``mutations`` is bumped whenever the engine's *future decisions* may
     differ (rule edits, default flips).  The syscall layer folds it into
@@ -149,8 +153,12 @@ class PolicyEngine:
 
     def record(self, request: PolicyRequest, decision: Decision,
                rule: str = "") -> None:
-        """Retain a non-DEFER decision on the engine's approval trail."""
-        self.records.append(DecisionRecord(request, decision, self.name, rule))
+        """Retain a non-DEFER decision on the engine's approval trail,
+        dropping the oldest past :data:`DECISION_RECORDS`."""
+        records = self.records
+        records.append(DecisionRecord(request, decision, self.name, rule))
+        if len(records) > DECISION_RECORDS:
+            del records[0]
 
     def fork_for(self, kernel: Any) -> "PolicyEngine":
         """The engine instance for a forked kernel.  Sharing ``self`` is

@@ -47,7 +47,7 @@ from repro.policy.engine import DOMAINS, Decision, PolicyEngine, PolicyRequest
 
 #: Domains a rule applies to when it does not name any: everything with
 #: session context (and therefore an audit trail for denials).
-DEFAULT_DOMAINS = frozenset(d for d in DOMAINS if d != "mac")
+DEFAULT_DOMAINS = tuple(d for d in DOMAINS if d != "mac")
 
 _EFFECTS = {"allow": Decision.ALLOW, "deny": Decision.DENY}
 _DEFAULTS = {"defer": Decision.DEFER, "allow": Decision.ALLOW, "deny": Decision.DENY}
@@ -94,7 +94,9 @@ class Rule:
             bad = set(domains) - set(DOMAINS)
             if bad:
                 raise RuleError(f"rule {self.name!r}: unknown domains {sorted(bad)}")
-            self.domains: frozenset = frozenset(domains)
+            # In DOMAINS order: a set pickles in string-hash order, which
+            # changes per process, and rules travel inside snapshots.
+            self.domains: tuple[str, ...] = tuple(d for d in DOMAINS if d in domains)
         else:
             self.domains = DEFAULT_DOMAINS
         self.operations = _as_tuple(spec, "operations")

@@ -304,9 +304,6 @@ class ShillPolicy(MacPolicy):
     def vnode_check_setutimes(self, proc: "Process", vp: Vnode) -> int:
         return self._require(proc, vp, Priv.UTIMES, "utimes")
 
-    def vnode_check_setflags(self, proc: "Process", vp: Vnode, flags: int) -> int:
-        return self._require(proc, vp, Priv.CHFLAGS, "chflags")
-
     def vnode_check_truncate(self, proc: "Process", vp: Vnode) -> int:
         return self._require(proc, vp, Priv.TRUNCATE, "truncate")
 

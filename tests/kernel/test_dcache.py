@@ -115,17 +115,33 @@ class DcacheEquivalence(RuleBasedStateMachine):
     def link(self, src, dst):
         self._apply(lambda sys: sys.link(src, dst))
 
+    def _resolve_both(self, path):
+        """Resolve ``path`` on both machines, whatever the first one
+        returns: a resolution has side effects (a lookup through one
+        name of a hard link moves its name-cache entry), so a twin that
+        skipped it would diverge.  The outcomes must agree; returns the
+        two vnodes, or None when ``path`` names none."""
+        vnodes, outcomes = [], []
+        for _kernel, sys in self.pairs:
+            try:
+                vp = sys._resolve(path)[2]
+            except SysError as err:
+                vp, outcome = None, ("errno", err.errno)
+            else:
+                outcome = vp.vid if vp is not None else None
+            vnodes.append(vp)
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1], path
+        return vnodes if vnodes[0] is not None else None
+
     @rule(path=st.sampled_from(PATHS))
     def mutate_label(self, path):
         """Grant-shaped label mutation on both machines (the epoch bump a
         real session grant performs)."""
-        for kernel, sys in self.pairs:
-            try:
-                _dvp, _name, vp = sys._resolve(path)
-            except SysError:
-                return
-            if vp is None:
-                return
+        vnodes = self._resolve_both(path)
+        if vnodes is None:
+            return
+        for (kernel, _sys), vp in zip(self.pairs, vnodes):
             ensure_privmap(vp).merge(1, PrivSet.of(Priv.READ))
             kernel.label_mutation()
 
@@ -143,13 +159,8 @@ class DcacheEquivalence(RuleBasedStateMachine):
     def hold(self, path):
         """Keep what ``path`` resolves to on both machines, for the
         ``path_of`` invariant below."""
-        vnodes = []
-        for _kernel, sys in self.pairs:
-            try:
-                vnodes.append(sys._resolve(path)[2])
-            except SysError:
-                return
-        if vnodes[0] is not None:
+        vnodes = self._resolve_both(path)
+        if vnodes is not None:
             self.held.append(tuple(vnodes))
 
     @invariant()
@@ -171,6 +182,20 @@ class DcacheEquivalence(RuleBasedStateMachine):
 TestDcacheEquivalence = DcacheEquivalence.TestCase
 TestDcacheEquivalence.settings = settings(
     max_examples=20, stateful_step_count=40, deadline=None)
+
+
+def test_a_failed_resolution_still_runs_on_both_twins():
+    """The machine's shrunk counterexample from when a rule stopped at
+    the first twin's error: resolving ``a/b`` crosses ``/b/g`` (moving
+    the hard link's name to it) before failing, so the second twin
+    must resolve it too, or the held file's paths disagree."""
+    machine = DcacheEquivalence()
+    machine.hold("/a/f")
+    machine.symlink(dest="/b/g", link="a")
+    machine.hold("a/b")
+    machine.paths_agree()
+    machine.mutate_label("a/b")
+    machine.paths_agree()
 
 
 # ---------------------------------------------------------------------------

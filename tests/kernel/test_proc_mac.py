@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SysError
-from repro.kernel import errno_
-from repro.kernel.mac import MacFramework, MacPolicy
+from repro.kernel import O_CREAT, O_RDONLY, O_WRONLY, errno_
+from repro.kernel.mac import HOOKS, MacFramework, MacPolicy
 from repro.kernel.proc import SIGKILL, SIGTERM
+from repro.sandbox.policy import ShillPolicy
+
+SRC = Path(repro.__file__).parent
 
 
 class TestProcesses:
@@ -131,6 +138,95 @@ class TestMacFramework:
         assert not kernel.shill_installed
 
 
+def _hook_call_sites() -> tuple[set[str], set[tuple[str, str]]]:
+    """The hook names ``src/`` passes as literals to the framework's
+    ``check``/``post`` (called on an attribute named ``mac`` or ``_mac``)
+    and to ``SyscallInterface._mac``/``_post``; and the (module,
+    function) of every such call that passes a computed name."""
+    literal: set[str] = set()
+    computed: set[tuple[str, str]] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                func = node.func
+                framework = (func.attr in ("check", "post")
+                             and isinstance(func.value, ast.Attribute)
+                             and func.value.attr in ("mac", "_mac"))
+                if not (framework or func.attr in ("_mac", "_post")):
+                    continue
+                name = node.args[0]
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    literal.add(name.value)
+                else:
+                    computed.add((path.relative_to(SRC).as_posix(), fn.name))
+    return literal, computed
+
+
+class TestHooks:
+    """A policy defines the hooks it enforces; ``HOOKS`` names every hook
+    the kernel calls, and a hook no policy defines passes."""
+
+    def test_hooks_are_the_names_the_kernel_calls(self):
+        literal, computed = _hook_call_sites()
+        # The sysctl, kenv/kld and IPC subsystems and exec call in too.
+        assert {"system_check_sysctl", "kenv_check", "kld_check_load",
+                "kld_check_unload", "ipc_check", "vnode_check_exec"} <= literal
+        assert literal == HOOKS
+        # Only the syscall layer's two forwarders pass a computed name.
+        assert computed == {("kernel/syscalls.py", "_mac"), ("kernel/syscalls.py", "_post")}
+
+    def test_the_base_defines_no_hook_and_shill_every_one(self):
+        assert not HOOKS & set(dir(MacPolicy))
+        public = {name for name in vars(ShillPolicy) if not name.startswith("_")}
+        assert public - {"name", "fork_for"} == HOOKS
+
+    def test_a_bare_policy_passes_every_hook_and_no_unknown_name(self):
+        class Bare(MacPolicy):
+            name = "bare"
+
+        mac = MacFramework()
+        mac.register(Bare())
+        for hook in HOOKS:
+            (mac.post if "_post_" in hook else mac.check)(hook, None)
+        with pytest.raises(AttributeError):
+            mac.check("vnode_check_raed", None, None)
+        with pytest.raises(AttributeError):
+            mac.post("vnode_post_lokup", None, None, None, "x")
+
+    def test_a_policy_is_asked_only_about_the_hooks_it_defines(self, kernel, alice_sys):
+        asked = []
+
+        class DenyReads(MacPolicy):
+            name = "deny-reads"
+
+            def vnode_check_read(self, proc, vp):
+                asked.append((proc, vp))
+                return errno_.EACCES
+
+        alone = MacFramework()
+        alone.register(DenyReads())
+        for hook in HOOKS - {"vnode_check_read"}:
+            (alone.post if "_post_" in hook else alone.check)(hook, None)
+        assert asked == []
+        kernel.mac.register(DenyReads())
+        fd = alice_sys.open("dog.jpg", O_RDONLY)
+        alice_sys.stat("dog.jpg")
+        alice_sys.close(alice_sys.open("/tmp/new", O_WRONLY | O_CREAT))
+        alice_sys.mkdir("/tmp/dir")
+        assert asked == []
+        with pytest.raises(SysError) as exc:
+            alice_sys.read(fd, 4)
+        assert exc.value.errno == errno_.EACCES
+        assert "mac:deny-reads:vnode_check_read" in str(exc.value)
+        _dvp, _name, dog = alice_sys._resolve("dog.jpg")
+        assert asked == [(alice_sys.proc, dog)]
+        assert kernel.stats.mac_denials == 1
+
+
 class TestExecStatuses:
     def test_missing_program_image(self, kernel):
         """A file without a program image fails ENOEXEC -> 126."""
@@ -153,6 +249,25 @@ class TestExecStatuses:
         proc = kernel.spawn_process("alice", "/")
         child = kernel.procs.fork(proc)
         assert kernel.exec_file(child, vp, ["noexec"]) == 126
+
+    def test_exec_records_its_touch_only_when_allowed(self):
+        """exec's check goes through ``SyscallInterface._mac``, which
+        records the image as an ``execute`` touch once the check passes."""
+        from repro.world import build_world
+
+        class NoExec(MacPolicy):
+            name = "no-exec"
+
+            def vnode_check_exec(self, proc, vp):
+                return errno_.EACCES
+
+        world = build_world()
+        sys = world.syscalls(world.spawn_process("root", "/"))
+        assert sys.spawn("/bin/echo", ["echo", "hi"]) == 0
+        assert world._touched.count(("execute", "/bin/echo")) == 1
+        world.mac.register(NoExec())
+        assert sys.spawn("/bin/echo", ["echo", "hi"]) == 126
+        assert world._touched.count(("execute", "/bin/echo")) == 1
 
     def test_exec_reaps_child(self, kernel):
         from repro.world import build_world

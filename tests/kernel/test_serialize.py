@@ -11,9 +11,14 @@ emacs) is round-tripped, and property tests sweep ad-hoc worlds.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.api import World
 from repro.api.sessions import Session
@@ -151,6 +156,28 @@ class TestSnapshotCodec:
         a = World().with_usr_src(subsystems=1, files_per_dir=3).boot().kernel
         b = World().with_usr_src(subsystems=1, files_per_dir=3).boot().kernel
         assert snapshot_digest(a) == snapshot_digest(b)
+
+    def test_snapshot_digest_does_not_depend_on_the_hash_seed(self):
+        """Equal machines give equal digests in every process, even with
+        a rules engine aboard: its rules hold sets of domains, which
+        must not pickle in string-hash order."""
+        program = (
+            "from repro.api import World\n"
+            "from repro.kernel.serialize import snapshot_digest\n"
+            "world = (World().for_user('alice').with_jpeg_samples()\n"
+            "         .with_policy_rules([\n"
+            "             {'name': 'no-docs', 'effect': 'deny',\n"
+            "              'paths': ['/home/alice/Documents']},\n"
+            "             {'effect': 'allow', 'domains': ['socket', 'mac', 'vnode']}]))\n"
+            "print(snapshot_digest(world.boot().kernel))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", program], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_snapshot_differs_for_different_worlds(self):
         a = World().with_file("/tmp/a", b"one").boot().kernel

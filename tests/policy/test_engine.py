@@ -12,6 +12,7 @@ from repro.policy import (
     PolicyRequest,
     engine_for,
 )
+from repro.policy.engine import DECISION_RECORDS
 
 
 def _req(**kw) -> PolicyRequest:
@@ -41,6 +42,17 @@ class TestProtocol:
         [rec] = engine.records
         assert rec == DecisionRecord(req, Decision.DENY, engine.name, "block")
         assert "deny" in rec.format() and "block" in rec.format()
+
+    def test_the_trail_keeps_only_the_newest_records(self):
+        """An engine is shared by every boot of a digest-equal world, so
+        its trail is bounded: N + k decisions leave the newest N."""
+        engine = PolicyEngine()
+        requests = [_req(target=f"/t/{i}") for i in range(DECISION_RECORDS + 5)]
+        for req in requests:
+            engine.record(req, Decision.ALLOW)
+        assert isinstance(engine.records, list)
+        assert len(engine.records) == DECISION_RECORDS
+        assert [rec.request for rec in engine.records] == requests[5:]
 
     def test_request_describe_names_session_or_user(self):
         assert "session 3" in _req().describe()
